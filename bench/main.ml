@@ -163,7 +163,14 @@ module Record = struct
     let targets = List.rev !order in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf "{\n";
-    Buffer.add_string buf "  \"schema_version\": 7,\n";
+    Buffer.add_string buf "  \"schema_version\": 8,\n";
+    (* Timings compare only between like hosts: the CPUs this process may
+       run on (what [nproc] prints), the compiler, and the build profile. *)
+    Buffer.add_string buf
+      (Printf.sprintf
+         "  \"host\": { \"nproc\": %d, \"ocaml_version\": \"%s\", \"profile\": \"%s\" },\n"
+         (Domain.recommended_domain_count ())
+         (json_escape Sys.ocaml_version) (json_escape Build_profile.name));
     Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" !jobs);
     Buffer.add_string buf "  \"targets\": {\n";
     List.iteri

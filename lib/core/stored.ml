@@ -2,7 +2,18 @@ type t = {
   lo : float;
   hi : float;
   weights : float array; (* per-cell selectivity mass *)
+  prefix : float array;
+      (* prefix.(i) = weights.(0) + ... + weights.(i - 1), length cells + 1;
+         derived on construction, never serialized *)
 }
+
+let make ~lo ~hi weights =
+  let k = Array.length weights in
+  let prefix = Array.make (k + 1) 0.0 in
+  for i = 0 to k - 1 do
+    prefix.(i + 1) <- prefix.(i) +. weights.(i)
+  done;
+  { lo; hi; weights; prefix }
 
 (* [who] keeps validation messages named after the entry point the
    caller actually used. *)
@@ -15,7 +26,7 @@ let of_fn_named who ?(cells = 256) ~domain:(lo, hi) f =
         let a = lo +. (float_of_int i *. w) in
         Float.max 0.0 (f ~a ~b:(a +. w)))
   in
-  { lo; hi; weights }
+  make ~lo ~hi weights
 
 let of_fn ?cells ~domain f = of_fn_named "Stored.of_fn" ?cells ~domain f
 
@@ -29,52 +40,55 @@ let of_sample ?cells ?(spec = Estimator.kernel_defaults) ~domain sample =
 let cells t = Array.length t.weights
 let domain t = (t.lo, t.hi)
 
-let selectivity t ~a ~b =
-  if a > b then 0.0
+(* Mass of cell [i] inside [qa, qb] under the uniform-within-cell
+   assumption. *)
+let[@inline always] cell_part ~lo ~w weights i qa qb =
+  let c_lo = lo +. (float_of_int i *. w) in
+  let c_hi = c_lo +. w in
+  let overlap = Float.min qb c_hi -. Float.max qa c_lo in
+  if overlap > 0.0 then Array.unsafe_get weights i *. overlap /. w else 0.0
+
+(* The histogram range formula over [k] cells of width [w] from [lo]:
+   partial first cell + the whole cells between, read as one prefix-mass
+   difference + partial last cell, so the cost does not depend on how
+   many cells [Q(qa, qb)] covers.  Cell indices are clamped in float
+   space (infinite or huge bounds hit the edge cells, not
+   [int_of_float]'s unspecified result); inverted and NaN bounds are
+   empty.  Inlined into both probes below, so neither boxes its float;
+   the summary's fields come in as arguments so the batch probe reads
+   them, and divides out the cell width, once per call. *)
+let[@inline always] probe ~lo ~w ~k ~weights ~prefix qa qb =
+  let top = float_of_int (k - 1) in
+  let fa = Float.floor ((qa -. lo) /. w) and fb = Float.floor ((qb -. lo) /. w) in
+  if not (qa <= qb && fa <= top && fb >= 0.0) then 0.0
   else begin
-    let k = Array.length t.weights in
-    let w = (t.hi -. t.lo) /. float_of_int k in
-    let first = Int.max 0 (int_of_float (Float.floor ((a -. t.lo) /. w))) in
-    let last = Int.min (k - 1) (int_of_float (Float.floor ((b -. t.lo) /. w))) in
-    let acc = ref 0.0 in
-    for i = first to last do
-      let c_lo = t.lo +. (float_of_int i *. w) in
-      let c_hi = c_lo +. w in
-      let overlap = Float.min b c_hi -. Float.max a c_lo in
-      if overlap > 0.0 then acc := !acc +. (t.weights.(i) *. overlap /. w)
-    done;
-    Float.max 0.0 (Float.min 1.0 !acc)
+    let first = if fa < 0.0 then 0 else int_of_float fa in
+    let last = if fb > top then k - 1 else int_of_float fb in
+    let acc =
+      if first = last then cell_part ~lo ~w weights first qa qb
+      else
+        cell_part ~lo ~w weights first qa qb
+        +. (Array.unsafe_get prefix last -. Array.unsafe_get prefix (first + 1))
+        +. cell_part ~lo ~w weights last qa qb
+    in
+    Float.max 0.0 (Float.min 1.0 acc)
   end
 
-(* Batch variant of [selectivity]: same per-cell arithmetic in the same
-   order, one query per output slot, nothing allocated ([@inline always]
-   on nothing needed — the whole loop is one function body). *)
+let cell_width t = (t.hi -. t.lo) /. float_of_int (Array.length t.weights)
+
+let selectivity t ~a ~b =
+  probe ~lo:t.lo ~w:(cell_width t) ~k:(Array.length t.weights) ~weights:t.weights
+    ~prefix:t.prefix a b
+
 let selectivity_into t ~pos ~len ~a ~b ~out =
   if pos < 0 || len < 0 then invalid_arg "Stored.selectivity_into: negative range";
   if pos + len > Array.length a || pos + len > Array.length b || pos + len > Array.length out
   then invalid_arg "Stored.selectivity_into: query arrays shorter than pos + len";
-  let k = Array.length t.weights in
-  let w = (t.hi -. t.lo) /. float_of_int k in
-  let weights = t.weights in
-  let t_lo = t.lo in
+  let lo = t.lo and w = cell_width t and k = Array.length t.weights in
+  let weights = t.weights and prefix = t.prefix in
   for qi = pos to pos + len - 1 do
-    let qa = Array.unsafe_get a qi and qb = Array.unsafe_get b qi in
-    let v =
-      if qa > qb then 0.0
-      else begin
-        let first = Int.max 0 (int_of_float (Float.floor ((qa -. t_lo) /. w))) in
-        let last = Int.min (k - 1) (int_of_float (Float.floor ((qb -. t_lo) /. w))) in
-        let acc = ref 0.0 in
-        for i = first to last do
-          let c_lo = t_lo +. (float_of_int i *. w) in
-          let c_hi = c_lo +. w in
-          let overlap = Float.min qb c_hi -. Float.max qa c_lo in
-          if overlap > 0.0 then acc := !acc +. (Array.unsafe_get weights i *. overlap /. w)
-        done;
-        Float.max 0.0 (Float.min 1.0 !acc)
-      end
-    in
-    Array.unsafe_set out qi v
+    Array.unsafe_set out qi
+      (probe ~lo ~w ~k ~weights ~prefix (Array.unsafe_get a qi) (Array.unsafe_get b qi))
   done
 
 let to_string t =
@@ -127,7 +141,7 @@ let of_string s =
                (Array.length weights))
         else if Array.exists (fun v -> v < 0.0 || not (Float.is_finite v)) weights then
           Error "Stored.of_string: weights must be non-negative and finite"
-        else Ok { lo; hi; weights }
+        else Ok (make ~lo ~hi weights)
       end))
   | _ -> Error "Stored.of_string: missing header"
 
@@ -394,7 +408,30 @@ type join = {
   j_mass_s : float array;
   j_sample_r : float array; (* retained build samples (sorted), for rebuilds *)
   j_sample_s : float array;
+  j_suffix_s : float array;
+      (* suffix_s.(k) = mass_s.(k) + ... + mass_s.(buckets - 1), length
+         buckets + 1; derived on construction, never serialized *)
 }
+
+let make_join ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s ~sample_r ~sample_s =
+  let ks = Array.length mass_s in
+  let suffix_s = Array.make (ks + 1) 0.0 in
+  for k = ks - 1 downto 0 do
+    suffix_s.(k) <- suffix_s.(k + 1) +. mass_s.(k)
+  done;
+  {
+    j_lo = lo;
+    j_hi = hi;
+    j_n_r = n_r;
+    j_n_s = n_s;
+    j_bounds_r = bounds_r;
+    j_mass_r = mass_r;
+    j_bounds_s = bounds_s;
+    j_mass_s = mass_s;
+    j_sample_r = sample_r;
+    j_sample_s = sample_s;
+    j_suffix_s = suffix_s;
+  }
 
 (* Equi-depth bucketing of a sorted sample: bucket boundaries at the
    k-quantile midpoints, then zero-width buckets merged so bounds are
@@ -437,18 +474,7 @@ let join_of_samples ~domain:(lo, hi) ~buckets ~n_r ~n_s sample_r sample_s =
   let sr = prep sample_r and ss = prep sample_s in
   let bounds_r, mass_r = edh_of_sorted ~domain:(lo, hi) ~buckets sr in
   let bounds_s, mass_s = edh_of_sorted ~domain:(lo, hi) ~buckets ss in
-  {
-    j_lo = lo;
-    j_hi = hi;
-    j_n_r = n_r;
-    j_n_s = n_s;
-    j_bounds_r = bounds_r;
-    j_mass_r = mass_r;
-    j_bounds_s = bounds_s;
-    j_mass_s = mass_s;
-    j_sample_r = sr;
-    j_sample_s = ss;
-  }
+  make_join ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s ~sample_r:sr ~sample_s:ss
 
 let join_domain j = (j.j_lo, j.j_hi)
 let join_sizes j = (j.j_n_r, j.j_n_s)
@@ -458,50 +484,73 @@ let join_samples j = (j.j_sample_r, j.j_sample_s)
 (* P(x < y) for x ~ U(a1, b1), y ~ U(a2, b2): integrate the uniform CDF of
    x over y's bucket.  With c1/c2 the clamp of [a1, b1] into [a2, b2],
    the integral splits into the ramp part and the saturated tail. *)
-let prob_lt ~a1 ~b1 ~a2 ~b2 =
+let[@inline always] prob_lt ~a1 ~b1 ~a2 ~b2 =
   if b1 <= a2 then 1.0
   else if b2 <= a1 then 0.0
   else begin
-    let clamp v = Float.max a2 (Float.min b2 v) in
-    let c1 = clamp a1 and c2 = clamp b1 in
+    let c1 = Float.max a2 (Float.min b2 a1) and c2 = Float.max a2 (Float.min b2 b1) in
     let ramp = (((c2 -. a1) *. (c2 -. a1)) -. ((c1 -. a1) *. (c1 -. a1)))
                /. (2.0 *. (b1 -. a1)) in
     (ramp +. (b2 -. c2)) /. (b2 -. a2)
   end
 
-(* N_R N_S int f_R f_S: the density-product equi-join formula on the
-   bucket pair grid (each integer value occupying a unit cell, as in
-   Equijoin.from_densities). *)
+(* Both sweeps below merge the two ascending bound arrays: [k0] is the
+   first S bucket that ends above the current R bucket's lower bound.
+   R buckets arrive in ascending order, so [k0] only moves forward, and
+   the S buckets that straddle R bucket [i] are [k0] up to the first one
+   starting at or above its upper bound.  Every pair outside that run
+   has no overlap, so a sweep is O(k_R + k_S) and allocates nothing. *)
+
+(* N_R N_S int f_R f_S: the density-product equi-join formula over the
+   overlapping bucket pairs (each integer value occupying a unit cell,
+   as in Equijoin.from_densities).  Pairs are visited R-major in
+   ascending S order, the order of the full pair grid, so the sum is the
+   grid's sum bit for bit. *)
 let join_eq_size j =
   let kr = Array.length j.j_mass_r and ks = Array.length j.j_mass_s in
-  let acc = ref 0.0 in
+  let bs = j.j_bounds_s in
+  let acc = ref 0.0 and k0 = ref 0 in
   for i = 0 to kr - 1 do
     let a1 = j.j_bounds_r.(i) and b1 = j.j_bounds_r.(i + 1) in
+    while !k0 < ks && bs.(!k0 + 1) <= a1 do
+      incr k0
+    done;
     let dr = j.j_mass_r.(i) /. (b1 -. a1) in
-    if dr > 0.0 then
-      for k = 0 to ks - 1 do
-        let a2 = j.j_bounds_s.(k) and b2 = j.j_bounds_s.(k + 1) in
+    if dr > 0.0 then begin
+      let k = ref !k0 in
+      while !k < ks && bs.(!k) < b1 do
+        let a2 = bs.(!k) and b2 = bs.(!k + 1) in
         let overlap = Float.min b1 b2 -. Float.max a1 a2 in
         if overlap > 0.0 then
-          acc := !acc +. (dr *. (j.j_mass_s.(k) /. (b2 -. a2)) *. overlap)
+          acc := !acc +. (dr *. (j.j_mass_s.(!k) /. (b2 -. a2)) *. overlap);
+        incr k
       done
+    end
   done;
   float_of_int j.j_n_r *. float_of_int j.j_n_s *. !acc
 
-(* The histogram-pair sweep for R.A < S.B: sum over bucket pairs of the
-   mass product times the uniform-within-bucket P(x < y). *)
+(* The histogram-pair sum for R.A < S.B, sum_ik m_R(i) m_S(k) P(x < y):
+   for each R bucket, the straddling S buckets take the closed-form
+   P(x < y), the S buckets wholly above it (P = 1) are one suffix-mass
+   read, and those wholly below (P = 0) are never visited. *)
 let join_lt_size j =
   let kr = Array.length j.j_mass_r and ks = Array.length j.j_mass_s in
-  let acc = ref 0.0 in
+  let bs = j.j_bounds_s and ms = j.j_mass_s in
+  let acc = ref 0.0 and k0 = ref 0 in
   for i = 0 to kr - 1 do
     let a1 = j.j_bounds_r.(i) and b1 = j.j_bounds_r.(i + 1) in
+    while !k0 < ks && bs.(!k0 + 1) <= a1 do
+      incr k0
+    done;
     let mr = j.j_mass_r.(i) in
-    if mr > 0.0 then
-      for k = 0 to ks - 1 do
-        let a2 = j.j_bounds_s.(k) and b2 = j.j_bounds_s.(k + 1) in
-        let ms = j.j_mass_s.(k) in
-        if ms > 0.0 then acc := !acc +. (mr *. ms *. prob_lt ~a1 ~b1 ~a2 ~b2)
-      done
+    if mr > 0.0 then begin
+      let part = ref 0.0 and k = ref !k0 in
+      while !k < ks && bs.(!k) < b1 do
+        part := !part +. (ms.(!k) *. prob_lt ~a1 ~b1 ~a2:bs.(!k) ~b2:bs.(!k + 1));
+        incr k
+      done;
+      acc := !acc +. (mr *. (!part +. j.j_suffix_s.(!k)))
+    end
   done;
   float_of_int j.j_n_r *. float_of_int j.j_n_s *. !acc
 
@@ -608,18 +657,8 @@ let join_of_string s =
       then Error (who ^ ": malformed samples")
       else
         Ok
-          {
-            j_lo = lo;
-            j_hi = hi;
-            j_n_r = n_r;
-            j_n_s = n_s;
-            j_bounds_r = bounds_r;
-            j_mass_r = mass_r;
-            j_bounds_s = bounds_s;
-            j_mass_s = mass_s;
-            j_sample_r = sample_r;
-            j_sample_s = sample_s;
-          }
+          (make_join ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s ~sample_r
+             ~sample_s)
     end)
   | _ -> Error (who ^ ": missing header")
 

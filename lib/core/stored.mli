@@ -40,15 +40,21 @@ val domain : t -> float * float
 (** Estimation domain the cells partition. *)
 
 val selectivity : t -> a:float -> b:float -> float
-(** Piecewise-constant range selectivity, clamped to [[0, 1]]. *)
+(** Piecewise-constant range selectivity, clamped to [[0, 1]]: the
+    partly covered first and last cells plus the whole cells between,
+    read as one difference of prefix masses.  O(1) whatever the range
+    covers — the prefix array is derived when the summary is built or
+    parsed, and never serialized.  Bounds beyond the domain (infinities
+    included) clamp to the edge cells; inverted or NaN bounds give [0]. *)
 
 val selectivity_into :
   t -> pos:int -> len:int -> a:float array -> b:float array -> out:float array -> unit
 (** [selectivity_into t ~pos ~len ~a ~b ~out] writes {!selectivity} of
     [Q(a.(i), b.(i))] to [out.(i)] for [pos <= i < pos + len],
-    bit-identically to the scalar probe and without allocating — the
-    serving engine evaluates each same-summary run of a merged batch
-    through this in place.  [len = 0] touches nothing.
+    bit-identically to the scalar probe (both inline one probe body),
+    O(1) per query and without allocating — the serving engine evaluates
+    each same-summary run of a merged batch through this in place.
+    [len = 0] touches nothing.
     @raise Invalid_argument on a negative range or arrays shorter than
     [pos + len]. *)
 
@@ -138,7 +144,7 @@ val rect_spec_of_string : string -> (int * int, string) result
 
     Per-relation equi-depth histograms plus the retained build samples,
     answering equi- and inequality-join size estimates.  The arithmetic
-    (density product for [eq], histogram-pair sweep for [lt]/[le]) lives
+    (density product for [eq], histogram-pair sum for [lt]/[le]) lives
     here so [Join.Ineqjoin] and the serving stack share one code path. *)
 
 type join_pred = Join_eq | Join_lt | Join_le
@@ -181,8 +187,13 @@ val join_samples : join -> float array * float array
 val join_estimate : join -> pred:join_pred -> float
 (** Estimated size of [R.A pred S.B]: the density-product integral for
     [Join_eq] (each integer value occupying a unit cell), the
-    histogram-pair sweep [sum_ij m_i m_j P(x < y)] for [Join_lt], and
-    their sum for [Join_le]. *)
+    histogram-pair sum [sum_ij m_i m_j P(x < y)] for [Join_lt], and
+    their sum for [Join_le].  Each predicate is one merge sweep over the
+    two sorted bound arrays, O(k_R + k_S) for [k_R] and [k_S] buckets,
+    allocating nothing but the boxed float result: only overlapping
+    bucket pairs are visited, and for [Join_lt] the S buckets wholly
+    above an R bucket are one read of an S suffix-mass array derived
+    with the summary (never serialized). *)
 
 val join_to_string : join -> string
 (** Textual serialization (["selest-stored-join v1"] header). *)

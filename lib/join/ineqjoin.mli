@@ -3,11 +3,15 @@
     Extends {!Equijoin} from [R.A = S.B] to [R.A < S.B] and [R.A <= S.B],
     following the histogram-pair algorithm of "Selectivity Estimation of
     Inequality Joins In Databases": build one equi-depth histogram per
-    relation from a sample, then sweep the bucket-pair grid accumulating
+    relation from a sample, then sum over the bucket-pair grid
 
     {v |R JOIN_< S| ~ N_R * N_S * sum_{i,k} m_R(i) m_S(k) P(x < y) v}
 
-    with [P(x < y)] in closed form for uniform-within-bucket values.  The
+    with [P(x < y)] in closed form for uniform-within-bucket values.
+    The sum is taken in one merge sweep of the two sorted bound arrays,
+    O(k_R + k_S) rather than O(k_R * k_S): pairs that straddle get the
+    closed form, and the S buckets wholly above an R bucket ([P = 1])
+    are one suffix-mass read.  The
     summaries themselves live in {!Selest.Stored.join} (serialized,
     catalog-cached, served over the wire); this module adds the exact
     merge-count oracle and thin build/estimate wrappers, so a served join
@@ -40,8 +44,13 @@ val summarize :
 val estimate : Selest.Stored.join -> pred:Selest.Stored.join_pred -> float
 (** Estimated join size under [pred].  [Join_eq] is the density-product
     formula on the bucket-pair grid (the {!Equijoin} model); [Join_lt] is
-    the histogram-pair sweep; [Join_le] is their sum, matching the
-    oracle's [le = lt + eq] decomposition on integer data.  Alias of
+    the histogram-pair sum; [Join_le] is their sum, matching the
+    oracle's [le = lt + eq] decomposition on integer data.  Each costs
+    O(k_R + k_S) and allocates only its float result.  [Join_eq] visits
+    the overlapping pairs in the full grid's order, so it is bit-identical
+    to the grid sum; [Join_lt] and [Join_le] add the same terms in a
+    different order and agree with it to 1e-12 relative
+    ([test/test_stored.ml] keeps the grid sums as references).  Alias of
     {!Selest.Stored.join_estimate} — the server calls that directly, which
     is what makes served answers bit-identical to this function. *)
 

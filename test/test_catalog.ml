@@ -294,6 +294,36 @@ let test_answer_into () =
   if dw > 0.0 then
     Alcotest.failf "answer_into allocated %.0f minor words over %d queries" dw (200 * n)
 
+(* A join probe is one merge sweep over the two bucket arrays: per call
+   it allocates only its boxed float results, the same few words at 4
+   buckets as at 64, for every predicate. *)
+let test_join_estimate_alloc () =
+  let sample_r = Array.init 2000 (fun i -> float_of_int (i * 7919 mod 1000)) in
+  let sample_s = Array.init 1500 (fun i -> float_of_int (300 + (i * 104729 mod 1000))) in
+  let words_per_call buckets pred =
+    let j =
+      Selest.Stored.join_of_samples ~domain:(-0.5, 1299.5) ~buckets ~n_r:100_000
+        ~n_s:80_000 sample_r sample_s
+    in
+    check
+      Alcotest.(pair int int)
+      "bucket counts" (buckets, buckets) (Selest.Stored.join_buckets j);
+    let calls = 1000 in
+    ignore (Selest.Stored.join_estimate j ~pred);
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (Selest.Stored.join_estimate j ~pred))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  List.iter
+    (fun pred ->
+      let small = words_per_call 4 pred and large = words_per_call 64 pred in
+      if not (Float.equal small large && large <= 8.0) then
+        Alcotest.failf "join %s: %.2f minor words per call at 4 buckets, %.2f at 64"
+          (Selest.Stored.join_pred_to_string pred) small large)
+    [ Selest.Stored.Join_eq; Selest.Stored.Join_lt; Selest.Stored.Join_le ]
+
 let test_staleness () =
   let dir = fresh_dir () in
   let config = { Service.default_config with rebuild_after_inserts = 100 } in
@@ -634,6 +664,8 @@ let () =
             test_answer_jobs_identical;
           Alcotest.test_case "answer_into: identity and zero allocation" `Quick
             test_answer_into;
+          Alcotest.test_case "join_estimate: constant allocation per call" `Quick
+            test_join_estimate_alloc;
           Alcotest.test_case "insert budget staleness" `Quick test_staleness;
           Alcotest.test_case "invalidate, maintenance sync, drop" `Quick
             test_invalidate_and_sync;

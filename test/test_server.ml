@@ -476,16 +476,17 @@ let test_sigterm_drain_and_reconnect () =
   let in_flight = ref (Error (Client.Protocol "never ran")) in
   let client_a = or_fail_client (Client.connect address) in
   let client_b = or_fail_client (Client.connect address) in
-  (* Background loadgen traffic during the kill. *)
-  let traffic_requests =
-    Array.init 64 (fun i -> ("orders/amount", 1.0 +. float_of_int (i mod 13), 50.0))
+  (* The steps below are ordered by the engine's own counters, not by
+     sleeps, so a loaded host cannot reorder them. *)
+  let wait_for what ready =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while (not (ready ())) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.002
+    done;
+    if not (ready ()) then Alcotest.failf "timed out waiting for %s" what
   in
-  let traffic = ref None in
-  let traffic_thread =
-    Thread.create
-      (fun () -> traffic := Some (Loadgen.run ~connections:4 ~address traffic_requests))
-      ()
-  in
+  (* [Client.connect] pings, so the two connects are already counted. *)
+  let before = (Engine.stats engine).Engine.requests in
   let flight_thread =
     Thread.create
       (fun () ->
@@ -493,10 +494,31 @@ let test_sigterm_drain_and_reconnect () =
         in_flight := Client.estimate client_a ~entry ~a ~b)
       ()
   in
-  Thread.delay 0.05;
+  wait_for "client_a's request" (fun () ->
+      (Engine.stats engine).Engine.requests > before);
+  (* Background loadgen traffic during the kill: each connection sends
+     its 16 queries as one batched frame.  The frame is either admitted
+     before the signal (and answered by the drain) or refused with the
+     typed draining reply; with single-query frames a connection could
+     still have queries to send when the drain closed it. *)
+  let traffic_requests =
+    Array.init 64 (fun i -> ("orders/amount", 1.0 +. float_of_int (i mod 13), 50.0))
+  in
+  let traffic = ref None in
+  let traffic_thread =
+    Thread.create
+      (fun () ->
+        traffic := Some (Loadgen.run ~batch:16 ~connections:4 ~address traffic_requests))
+      ()
+  in
+  (* client_a, client_b and loadgen's four connections, each of which
+     connects by sending its frame. *)
+  wait_for "six accepted connections and four loadgen frames" (fun () ->
+      let s = Engine.stats engine in
+      s.Engine.connections >= 6 && s.Engine.requests >= before + 5);
   (* SIGTERM mid-flight, through the real signal path. *)
   Unix.kill (Unix.getpid ()) Sys.sigterm;
-  Thread.delay 0.05;
+  wait_for "the SIGTERM handler" (fun () -> Engine.draining engine);
   check Alcotest.bool "drain initiated by SIGTERM" true (Engine.draining engine);
   (* Requests arriving during the drain get the typed refusal. *)
   (match Client.estimate client_b ~entry:"users/age" ~a:0.0 ~b:1.0 with

@@ -159,6 +159,261 @@ let prop_join_round_trip =
                && Float.equal e (Join.Ineqjoin.estimate j' ~pred))
              [ Stored.Join_eq; Stored.Join_lt; Stored.Join_le ])
 
+(* ---------------- reference models ----------------
+
+   The probes in Stored answer a range from a prefix-mass array and a
+   join from one merge sweep over the two bucket-bound arrays.  The
+   references below are the direct formulas they replace: the range
+   loop visits every covered cell, and the join loops visit every
+   bucket pair. *)
+
+(* The range loop, and how many cells it visits for [Q(a, b)]. *)
+let reference_selectivity ~lo ~hi weights ~a ~b =
+  if a > b then (0.0, 0)
+  else begin
+    let k = Array.length weights in
+    let w = (hi -. lo) /. float_of_int k in
+    let first = Int.max 0 (int_of_float (Float.floor ((a -. lo) /. w))) in
+    let last = Int.min (k - 1) (int_of_float (Float.floor ((b -. lo) /. w))) in
+    let acc = ref 0.0 in
+    for i = first to last do
+      let c_lo = lo +. (float_of_int i *. w) in
+      let c_hi = c_lo +. w in
+      let overlap = Float.min b c_hi -. Float.max a c_lo in
+      if overlap > 0.0 then acc := !acc +. (weights.(i) *. overlap /. w)
+    done;
+    (Float.max 0.0 (Float.min 1.0 !acc), Int.max 0 (last - first + 1))
+  end
+
+(* The prefix probe must match the cell loop bit for bit on queries that
+   cover at most two cells (the partial cells use the same arithmetic)
+   and within 1e-12 otherwise (whole cells are summed by a prefix
+   difference).  Every generated query is also tried inverted, as a
+   point [a = a], and snapped to cell edges. *)
+let prop_range_reference =
+  QCheck.Test.make ~count:500 ~name:"prefix-mass probe matches the per-cell loop" arb_case
+    (fun (lo, hi, weights, queries) ->
+      let t = stored_of_weights ~lo ~hi weights in
+      let w = Array.of_list weights in
+      let k = Array.length w in
+      let cw = (hi -. lo) /. float_of_int k in
+      let at f = lo +. (f *. (hi -. lo)) in
+      let edge f = lo +. (Float.round (f *. float_of_int k) *. cw) in
+      let qs =
+        List.concat_map
+          (fun (fa, fb) ->
+            let a = at fa and b = at fb in
+            [ (a, b); (b, a); (a, a); (edge fa, edge fb); (edge fa, b) ])
+          queries
+      in
+      let n = List.length qs in
+      let out = Array.make n nan in
+      Stored.selectivity_into t ~pos:0 ~len:n
+        ~a:(Array.of_list (List.map fst qs))
+        ~b:(Array.of_list (List.map snd qs))
+        ~out;
+      List.iteri
+        (fun i (a, b) ->
+          let got = Stored.selectivity t ~a ~b in
+          let want, visited = reference_selectivity ~lo ~hi w ~a ~b in
+          let close =
+            if visited <= 2 then Float.equal got want
+            else Float.abs (got -. want) <= 1e-12
+          in
+          if not (close && Float.equal got out.(i)) then
+            QCheck.Test.fail_reportf
+              "Q(%h, %h) on %d cells: probe %h, batch %h, reference %h" a b k got out.(i)
+              want)
+        qs;
+      true)
+
+(* The pre-sweep P(x < y) for uniform buckets, with its clamp closure. *)
+let reference_prob_lt ~a1 ~b1 ~a2 ~b2 =
+  if b1 <= a2 then 1.0
+  else if b2 <= a1 then 0.0
+  else begin
+    let clamp v = Float.max a2 (Float.min b2 v) in
+    let c1 = clamp a1 and c2 = clamp b1 in
+    let ramp =
+      (((c2 -. a1) *. (c2 -. a1)) -. ((c1 -. a1) *. (c1 -. a1))) /. (2.0 *. (b1 -. a1))
+    in
+    (ramp +. (b2 -. c2)) /. (b2 -. a2)
+  end
+
+(* A join summary's histograms, as plain arrays. *)
+type hists = {
+  n_r : int;
+  n_s : int;
+  bounds_r : float array;
+  mass_r : float array;
+  bounds_s : float array;
+  mass_s : float array;
+}
+
+let reference_join_eq h =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length h.mass_r - 1 do
+    let a1 = h.bounds_r.(i) and b1 = h.bounds_r.(i + 1) in
+    let dr = h.mass_r.(i) /. (b1 -. a1) in
+    if dr > 0.0 then
+      for k = 0 to Array.length h.mass_s - 1 do
+        let a2 = h.bounds_s.(k) and b2 = h.bounds_s.(k + 1) in
+        let overlap = Float.min b1 b2 -. Float.max a1 a2 in
+        if overlap > 0.0 then
+          acc := !acc +. (dr *. (h.mass_s.(k) /. (b2 -. a2)) *. overlap)
+      done
+  done;
+  float_of_int h.n_r *. float_of_int h.n_s *. !acc
+
+let reference_join_lt h =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length h.mass_r - 1 do
+    let a1 = h.bounds_r.(i) and b1 = h.bounds_r.(i + 1) in
+    let mr = h.mass_r.(i) in
+    if mr > 0.0 then
+      for k = 0 to Array.length h.mass_s - 1 do
+        let a2 = h.bounds_s.(k) and b2 = h.bounds_s.(k + 1) in
+        let ms = h.mass_s.(k) in
+        if ms > 0.0 then acc := !acc +. (mr *. ms *. reference_prob_lt ~a1 ~b1 ~a2 ~b2)
+      done
+  done;
+  float_of_int h.n_r *. float_of_int h.n_s *. !acc
+
+let reference_join h = function
+  | Stored.Join_eq -> reference_join_eq h
+  | Stored.Join_lt -> reference_join_lt h
+  | Stored.Join_le -> reference_join_lt h +. reference_join_eq h
+
+(* The serialized form of [h] — the only door to a join summary with
+   chosen bucket masses (zero-mass buckets never come out of an
+   equi-depth build). *)
+let join_text ~lo ~hi h =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "selest-stored-join v1\n";
+  Buffer.add_string buf (Printf.sprintf "domain %.17g %.17g\n" lo hi);
+  Buffer.add_string buf (Printf.sprintf "sizes %d %d\n" h.n_r h.n_s);
+  let section name a =
+    Buffer.add_string buf (Printf.sprintf "%s %d\n" name (Array.length a));
+    Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf "%.17g\n" v)) a
+  in
+  section "bounds_r" h.bounds_r;
+  section "mass_r" h.mass_r;
+  section "bounds_s" h.bounds_s;
+  section "mass_s" h.mass_s;
+  section "sample_r" [| lo |];
+  section "sample_s" [| hi |];
+  Buffer.contents buf
+
+(* The histograms of a built summary, read back from its text. *)
+let hists_of_join j =
+  let lines = Array.of_list (String.split_on_char '\n' (Stored.join_to_string j)) in
+  let section name =
+    let rec find i =
+      match String.split_on_char ' ' lines.(i) with
+      | [ n; c ] when n = name ->
+        Array.init (int_of_string c) (fun k -> float_of_string lines.(i + 1 + k))
+      | _ -> find (i + 1)
+    in
+    find 0
+  in
+  let n_r, n_s = Stored.join_sizes j in
+  {
+    n_r;
+    n_s;
+    bounds_r = section "bounds_r";
+    mass_r = section "mass_r";
+    bounds_s = section "bounds_s";
+    mass_s = section "mass_s";
+  }
+
+(* eq sums the same pairs in the same order as the pair grid, so it
+   must agree bit for bit; lt/le sum in a different order, so they agree
+   to 1e-12 relative. *)
+let join_matches_reference j h =
+  List.for_all
+    (fun pred ->
+      let got = Stored.join_estimate j ~pred and want = reference_join h pred in
+      let ok =
+        match pred with
+        | Stored.Join_eq -> Float.equal got want
+        | Stored.Join_lt | Stored.Join_le ->
+          Float.abs (got -. want) <= 1e-12 *. Float.abs want
+      in
+      if not ok then
+        QCheck.Test.fail_reportf "%s over %dx%d buckets: sweep %h, reference %h"
+          (Stored.join_pred_to_string pred) (Array.length h.mass_r) (Array.length h.mass_s)
+          got want;
+      true)
+    [ Stored.Join_eq; Stored.Join_lt; Stored.Join_le ]
+
+(* Crafted histograms: 1-64 buckets per side on random bounds, a quarter
+   of the buckets empty, and in two modes out of four the supports split
+   at a shared bound so that R lies wholly below or wholly above S. *)
+let gen_hists =
+  QCheck.Gen.(
+    let lo = -0.5 and hi = 512.5 in
+    let gen_bounds k split =
+      let* inner = list_size (return (k - 1)) (float_range (lo +. 1e-3) (hi -. 1e-3)) in
+      let pts = List.sort_uniq Float.compare (split @ inner) in
+      return (Array.of_list ((lo :: pts) @ [ hi ]))
+    in
+    let gen_mass bounds keep =
+      let n = Array.length bounds - 1 in
+      let* raw =
+        list_size (return n)
+          (frequency [ (1, return 0.0); (3, float_range 1e-3 1.0) ])
+      in
+      return
+        (Array.of_list
+           (List.mapi (fun i m -> if keep bounds.(i) bounds.(i + 1) then m else 0.0) raw))
+    in
+    let* kr = int_range 1 64 in
+    let* ks = int_range 1 64 in
+    let* mode = int_bound 3 in
+    let* t = float_range 1.0 511.0 in
+    let split = if mode >= 2 then [ t ] else [] in
+    let* bounds_r = gen_bounds kr split in
+    let* bounds_s = gen_bounds ks split in
+    let below _ b1 = b1 <= t and above a1 _ = a1 >= t and any _ _ = true in
+    let keep_r, keep_s =
+      match mode with 2 -> (below, above) | 3 -> (above, below) | _ -> (any, any)
+    in
+    let* mass_r = gen_mass bounds_r keep_r in
+    let* mass_s = gen_mass bounds_s keep_s in
+    let* n_r = int_range 1 100_000 in
+    let* n_s = int_range 1 100_000 in
+    return (lo, hi, { n_r; n_s; bounds_r; mass_r; bounds_s; mass_s }))
+
+let prop_join_reference_crafted =
+  QCheck.Test.make ~count:400 ~name:"join sweeps match the pair grid (crafted histograms)"
+    (QCheck.make gen_hists) (fun (lo, hi, h) ->
+      match Stored.join_of_string (join_text ~lo ~hi h) with
+      | Error msg -> QCheck.Test.fail_reportf "crafted join rejected: %s" msg
+      | Ok j -> join_matches_reference j h)
+
+(* Built histograms: equi-depth summaries of 1-64 buckets from samples
+   that overlap, or sit on disjoint halves of the domain. *)
+let prop_join_reference_built =
+  let arb =
+    QCheck.make
+      QCheck.Gen.(
+        let* disjoint = bool in
+        let* nr = int_range 1 300 in
+        let* ns = int_range 1 300 in
+        let r_hi, s_lo = if disjoint then (200.0, 300.0) else (512.0, 0.0) in
+        let* sample_r = array_size (return nr) (float_bound_inclusive r_hi) in
+        let* sample_s = array_size (return ns) (float_range s_lo 512.0) in
+        let* buckets = int_range 1 64 in
+        return (sample_r, sample_s, buckets))
+  in
+  QCheck.Test.make ~count:300 ~name:"join sweeps match the pair grid (built summaries)" arb
+    (fun (sample_r, sample_s, buckets) ->
+      let j =
+        Stored.join_of_samples ~domain:(-0.5, 512.5) ~buckets ~n_r:10_000 ~n_s:8_000
+          sample_r sample_s
+      in
+      join_matches_reference j (hists_of_join j))
+
 (* of_string never raises: every malformed input maps to Error. *)
 let malformed_cases =
   [
@@ -229,6 +484,19 @@ let test_malformed_rect_join () =
   sweep Stored.rect_of_string rect_text;
   sweep Stored.join_of_string join_text
 
+(* Bounds beyond the domain clamp to the edge cells, however far out:
+   infinite and huge bounds answer like the domain edges, NaN bounds
+   like an empty range. *)
+let test_unbounded_queries () =
+  let t = stored_of_weights ~lo:0.0 ~hi:4.0 [ 0.1; 0.2; 0.3; 0.4 ] in
+  let sel a b = Stored.selectivity t ~a ~b in
+  checkf "upper bound +inf" (sel 1.0 4.0) (sel 1.0 Float.infinity);
+  checkf "upper bound 1e300" (sel 1.0 4.0) (sel 1.0 1e300);
+  checkf "lower bound -inf" (sel 0.0 2.0) (sel Float.neg_infinity 2.0);
+  checkf "both unbounded" (sel 0.0 4.0) (sel (-1e300) Float.infinity);
+  checkf "NaN lower bound" 0.0 (sel Float.nan 2.0);
+  checkf "NaN upper bound" 0.0 (sel 1.0 Float.nan)
+
 (* to_string survives weights that only differ past float precision. *)
 let test_tiny_weights () =
   let t = stored_of_weights ~lo:0.0 ~hi:1.0 [ 1e-300; 4.9e-324; 0.0; 0.25 ] in
@@ -244,9 +512,16 @@ let () =
     List.map QCheck_alcotest.to_alcotest
       [ prop_round_trip; prop_round_trip_of_sample; prop_rect_round_trip; prop_join_round_trip ]
   in
+  let reference =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_range_reference; prop_join_reference_crafted; prop_join_reference_built ]
+  in
   Alcotest.run "stored"
     [
       ("round-trip", qsuite);
+      ( "reference",
+        reference
+        @ [ Alcotest.test_case "unbounded bounds clamp" `Quick test_unbounded_queries ] );
       ( "malformed",
         [
           Alcotest.test_case "errors, never raises" `Quick test_malformed;
