@@ -863,12 +863,12 @@ module Cat = Catalog.Service
 
 (* Exercises the serving path end to end: ANALYZE all headline files into
    snapshot files through an undersized cache (evictions), reopen the
-   directory cold (load-on-open recovery), serve 40 rounds of hot batches
-   with --jobs domains, then score every entry's answers against exact
-   selectivities.  BENCH_results.json gets the serving queries_per_s, the
-   cache_hit_rate, and each entry's MRE under mre_by_spec. *)
+   directory cold (load-on-open recovery), serve 40 rounds of hot batches,
+   then score every entry's answers against exact selectivities.
+   BENCH_results.json gets the serving queries_per_s, the cache_hit_rate,
+   and each entry's MRE under mre_by_spec. *)
 let bench_catalog () =
-  header "catalog: summary serving (build, reopen cold, hot batches; --jobs domains)";
+  header "catalog: summary serving (build, reopen cold, hot batches)";
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_catalog" in
   if Sys.file_exists dir then
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
@@ -926,7 +926,7 @@ let bench_catalog () =
            hot)
     in
     total := !total + Array.length batch;
-    ignore (Cat.answer ~jobs:!jobs svc batch)
+    ignore (Cat.answer svc batch)
   done;
   let serve_s = Unix.gettimeofday () -. t0 in
   Record.note_queries ~queries:!total ~query_s:serve_s;
@@ -954,11 +954,11 @@ let bench_catalog () =
   Record.note_extra ~key:"cache_evictions"
     (float_of_int (s.Catalog.Lru.evictions + build_stats.Catalog.Lru.evictions));
   Printf.printf
-    "serving: %d requests in %.2fs (%.0f queries/s, jobs %d)\n\
+    "serving: %d requests in %.2fs (%.0f queries/s)\n\
      cache: hit rate %.3f (%d hits, %d misses), evictions %d (+%d during build)\n"
     !total serve_s
     (float_of_int !total /. serve_s)
-    !jobs hit_rate s.Catalog.Lru.hits s.Catalog.Lru.misses s.Catalog.Lru.evictions
+    hit_rate s.Catalog.Lru.hits s.Catalog.Lru.misses s.Catalog.Lru.evictions
     build_stats.Catalog.Lru.evictions
 
 (* ------------------------------------------------------------------ *)
@@ -1013,7 +1013,6 @@ let bench_serve () =
   let address =
     Server.Wire.Unix_socket (Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_serve.sock")
   in
-  let config = { Server.Engine.default_config with Server.Engine.jobs = !jobs } in
   let connections = 32 in
   (* One serving pass at a given shard count: closed-loop singles,
      closed-loop batch=16 frames, optionally classified per shard,
@@ -1022,7 +1021,7 @@ let bench_serve () =
     let services, skipped = Cat.open_sharded ~shards dir in
     if skipped <> [] then
       failwith (Printf.sprintf "serve: %d snapshots skipped on open" (List.length skipped));
-    let engine = Server.Engine.create ~config ~services address in
+    let engine = Server.Engine.create ~services address in
     let server_thread = Thread.create Server.Engine.serve engine in
     Fun.protect
       ~finally:(fun () ->
@@ -1170,9 +1169,9 @@ let bench_serve () =
     open_reports;
   Printf.printf
     "server: shards=1 %d requests, shards=%d %d requests (%d batches, %d queries merged), \
-     all bit-identical to direct answers (jobs %d)\n"
+     all bit-identical to direct answers\n"
     stats1.Server.Engine.requests shards stats4.Server.Engine.requests
-    stats4.Server.Engine.batches stats4.Server.Engine.batched_queries !jobs;
+    stats4.Server.Engine.batches stats4.Server.Engine.batched_queries;
   (* Pass 3: mixed kinds.  Add one rect entry (the street-grid joint
      file) and one join entry (n(20) x u(20)) to the now-sharded catalog
      through their owner shards, serve all three kinds at shards = 4,
@@ -1212,7 +1211,7 @@ let bench_serve () =
    with
   | Ok _ -> ()
   | Error msg -> failwith ("serve mixed: build join: " ^ msg));
-  let engine = Server.Engine.create ~config ~services address in
+  let engine = Server.Engine.create ~services address in
   let server_thread = Thread.create Server.Engine.serve engine in
   let mixed, mreport =
     Fun.protect
@@ -1372,7 +1371,6 @@ let bench_drift () =
     Server.Wire.Unix_socket
       (Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_drift.sock")
   in
-  let engine_config = { Server.Engine.default_config with Server.Engine.jobs = !jobs } in
   let rebuild_after = 400 in
   let inserts_per_window = 600 and observes_per_window = 64 in
   let ok_or_die what = function
@@ -1413,7 +1411,7 @@ let bench_drift () =
                Cat.refresh_after_observes = observes_per_window;
              })
         services;
-    let engine = Server.Engine.create ~config:engine_config ~services address in
+    let engine = Server.Engine.create ~services address in
     let server_thread = Thread.create Server.Engine.serve engine in
     Fun.protect
       ~finally:(fun () ->
@@ -1701,7 +1699,7 @@ let micro () =
         out.(i) <- Selest.Stored.selectivity stored ~a:qa.(i) ~b:qb.(i)
       done)
     (fun () -> Selest.Stored.selectivity_into stored ~pos:0 ~len:n ~a:qa ~b:qb ~out);
-  (* The serving layer end to end: the former grouped-Hashtbl answer path
+  (* The serving layer end to end: the grouped-Hashtbl answer path
      against answer_into over the same run-structured batch. *)
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_micro" in
   if Sys.file_exists dir then
@@ -1718,7 +1716,7 @@ let micro () =
   in
   let requests = Array.init n (fun i -> (names.(i), qa.(i), qb.(i))) in
   row "catalog.answer"
-    (fun () -> ignore (Cat.answer ~jobs:1 svc requests))
+    (fun () -> ignore (Cat.answer svc requests))
     (fun () -> Cat.answer_into svc ~n ~names ~a:qa ~b:qb ~out);
   (* The read side of the wire: a fresh request value per frame against
      the interning scratch decoder the serving engine reads with.  One

@@ -739,13 +739,7 @@ let catalog_query_cmd =
     Arg.(value & opt (some string) None & info [ "batch" ] ~docv:"FILE"
          ~doc:"Batch file: one \"name a b\" request per line ('#' comments allowed).")
   in
-  let jobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Evaluate the batch on $(docv) parallel domains; answers are bit-identical \
-               for every value.")
-  in
-  let run dir name a b batch jobs =
-    if jobs < 1 then or_die (Error "catalog query: --jobs must be >= 1");
+  let run dir name a b batch =
     let svc = open_catalog dir in
     let requests =
       match (batch, name, a, b) with
@@ -771,7 +765,7 @@ let catalog_query_cmd =
           (Error "catalog query: pass either --batch FILE or --name with -a and -b")
     in
     let answers =
-      try Cat.answer ~jobs svc requests with Invalid_argument msg -> or_die (Error msg)
+      try Cat.answer svc requests with Invalid_argument msg -> or_die (Error msg)
     in
     Array.iteri
       (fun i (name, a, b) ->
@@ -785,7 +779,7 @@ let catalog_query_cmd =
   in
   let doc = "Answer range queries from the catalog (no data access at query time)." in
   Cmd.v (Cmd.info "query" ~doc)
-    Term.(const run $ catalog_dir_arg $ name_arg $ a_arg $ b_arg $ batch_arg $ jobs_arg)
+    Term.(const run $ catalog_dir_arg $ name_arg $ a_arg $ b_arg $ batch_arg)
 
 let catalog_invalidate_cmd =
   let names_arg =
@@ -834,11 +828,6 @@ let address_of ~host ~socket ~port =
   | Some _, Some _ -> or_die (Error "pass either --socket or --port, not both")
 
 let serve_cmd =
-  let jobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker domains for merged catalog batches; answers are bit-identical \
-               for every value.")
-  in
   let shards_arg =
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
          ~doc:"Hash-partition the catalog into $(docv) shards, each with its own \
@@ -875,9 +864,7 @@ let serve_cmd =
              ~doc:"Insert budget before an entry goes stale — with $(b,--adaptive), the \
                    background-rebuild trigger (docs/ADAPTIVITY.md).")
   in
-  let run dir socket port host jobs shards max_inflight max_batch deadline_s adaptive
-      rebuild_after =
-    if jobs < 1 then or_die (Error "serve: --jobs must be >= 1");
+  let run dir socket port host shards max_inflight max_batch deadline_s adaptive rebuild_after =
     if shards < 1 then or_die (Error "serve: --shards must be >= 1");
     if max_inflight < 0 then or_die (Error "serve: --max-inflight must be >= 0");
     if max_batch < 1 then or_die (Error "serve: --max-batch must be >= 1");
@@ -889,9 +876,7 @@ let serve_cmd =
         ~shards dir
     in
     if adaptive then Array.iter Cat.enable_adaptive services;
-    let config =
-      { Server.Engine.default_config with Server.Engine.jobs; max_inflight; max_batch; deadline_s }
-    in
+    let config = { Server.Engine.default_config with max_inflight; max_batch; deadline_s } in
     let engine =
       try Server.Engine.create ~config ~services address
       with Unix.Unix_error (e, fn, _) ->
@@ -933,9 +918,8 @@ let serve_cmd =
      and SIGTERM graceful drain (docs/SERVING.md, docs/SHARDING.md, docs/ADAPTIVITY.md)."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ catalog_dir_arg $ socket_arg $ port_arg $ host_arg $ jobs_arg
-          $ shards_arg $ max_inflight_arg $ max_batch_arg $ deadline_arg $ adaptive_arg
-          $ rebuild_after_arg)
+    Term.(const run $ catalog_dir_arg $ socket_arg $ port_arg $ host_arg $ shards_arg
+          $ max_inflight_arg $ max_batch_arg $ deadline_arg $ adaptive_arg $ rebuild_after_arg)
 
 let loadgen_cmd =
   let connections_arg =
@@ -1027,46 +1011,46 @@ let loadgen_cmd =
       | Error e -> or_die (Error ("loadgen: ls: " ^ Server.Client.error_to_string e))
     in
     Server.Client.close client;
+    (* Recompute every served answer with [direct svc_of i], the direct
+       call of request [i]'s kind through its entry's owner shard (the
+       server may have migrated [dir] to the partitioned layout); served
+       bytes must match exactly. *)
+    let verify_served dir (report : Server.Loadgen.report) direct =
+      let shards = detect_shards dir in
+      let services =
+        if shards = 1 then [| open_catalog dir |] else open_sharded_catalog ~shards dir
+      in
+      let svc_of name = services.(Cat.shard_of_name ~shards name) in
+      let mismatches = ref 0 and checked = ref 0 in
+      Array.iteri
+        (fun i served ->
+          if not (Float.is_nan served) then begin
+            incr checked;
+            if Int64.bits_of_float served <> Int64.bits_of_float (direct svc_of i) then
+              incr mismatches
+          end)
+        report.Server.Loadgen.answers;
+      Printf.printf "verify: %d/%d served answers bit-identical to direct Catalog.Service calls\n"
+        (!checked - !mismatches) !checked;
+      if !mismatches > 0 then or_die (Error "loadgen: served answers diverge from direct calls")
+    in
     if mix then begin
       let requests = Server.Loadgen.synthetic_mixed_requests ~entries ~count:queries ~seed in
       let report = Server.Loadgen.run_mixed ~connections ~address requests in
       print_endline (Server.Loadgen.report_to_string report);
-      match verify with
-      | None -> ()
-      | Some dir ->
-        (* Recompute each answer through the entry's owner shard with the
-           direct call of its kind; served bytes must match exactly. *)
-        let shards = detect_shards dir in
-        let services =
-          if shards = 1 then [| open_catalog dir |] else open_sharded_catalog ~shards dir
-        in
-        let svc_of name = services.(Cat.shard_of_name ~shards name) in
-        let mismatches = ref 0 and checked = ref 0 in
-        Array.iteri
-          (fun i req ->
-            let served = report.Server.Loadgen.answers.(i) in
-            if not (Float.is_nan served) then begin
-              let direct =
-                match req with
-                | Server.Loadgen.Mix_range (name, a, b) ->
-                  or_die (Cat.answer_one (svc_of name) ~name ~a ~b)
-                | Server.Loadgen.Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
-                  or_die
-                    (Cat.answer_rect (svc_of m_entry) ~name:m_entry ~x_lo:m_x_lo
-                       ~x_hi:m_x_hi ~y_lo:m_y_lo ~y_hi:m_y_hi)
-                | Server.Loadgen.Mix_join { m_entry; m_pred } ->
-                  or_die (Cat.answer_join (svc_of m_entry) ~name:m_entry ~pred:m_pred)
-              in
-              incr checked;
-              if Int64.bits_of_float served <> Int64.bits_of_float direct then
-                incr mismatches
-            end)
-          requests;
-        Printf.printf
-          "verify: %d/%d served answers bit-identical to direct Catalog.Service calls\n"
-          (!checked - !mismatches) !checked;
-        if !mismatches > 0 then
-          or_die (Error "loadgen: served answers diverge from direct calls")
+      Option.iter
+        (fun dir ->
+          verify_served dir report (fun svc_of i ->
+              match requests.(i) with
+              | Server.Loadgen.Mix_range (name, a, b) ->
+                or_die (Cat.answer_one (svc_of name) ~name ~a ~b)
+              | Server.Loadgen.Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
+                or_die
+                  (Cat.answer_rect (svc_of m_entry) ~name:m_entry ~x_lo:m_x_lo ~x_hi:m_x_hi
+                     ~y_lo:m_y_lo ~y_hi:m_y_hi)
+              | Server.Loadgen.Mix_join { m_entry; m_pred } ->
+                or_die (Cat.answer_join (svc_of m_entry) ~name:m_entry ~pred:m_pred)))
+        verify
     end
     else
     let requests = Server.Loadgen.synthetic_requests ~entries ~count:queries ~seed in
@@ -1114,36 +1098,12 @@ let loadgen_cmd =
     | None ->
       let report = Server.Loadgen.run ~batch ~connections ~address requests in
       print_endline (Server.Loadgen.report_to_string report);
-      (match verify with
-      | None -> ()
-      | Some dir ->
-        (* The server may have migrated the directory to the partitioned
-           layout; answer through the owner shard of each entry so --verify
-           works at any --shards value. *)
-        let expected =
-          try
-            match detect_shards dir with
-            | 1 -> Cat.answer (open_catalog dir) requests
-            | shards ->
-              let services = open_sharded_catalog ~shards dir in
-              Array.map
-                (fun ((name, _, _) as req) ->
-                  (Cat.answer services.(Cat.shard_of_name ~shards name) [| req |]).(0))
-                requests
-          with Invalid_argument msg -> or_die (Error msg)
-        in
-        let mismatches = ref 0 and checked = ref 0 in
-        Array.iteri
-          (fun i served ->
-            if not (Float.is_nan served) then begin
-              incr checked;
-              if Int64.bits_of_float served <> Int64.bits_of_float expected.(i) then
-                incr mismatches
-            end)
-          report.Server.Loadgen.answers;
-        Printf.printf "verify: %d/%d served answers bit-identical to direct Catalog.Service.answer\n"
-          (!checked - !mismatches) !checked;
-        if !mismatches > 0 then or_die (Error "loadgen: served answers diverge from direct calls"))
+      Option.iter
+        (fun dir ->
+          verify_served dir report (fun svc_of i ->
+              let name, a, b = requests.(i) in
+              or_die (Cat.answer_one (svc_of name) ~name ~a ~b)))
+        verify
   in
   let doc =
     "Load generator against a running `selest serve': closed loop by default \

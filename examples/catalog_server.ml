@@ -51,7 +51,7 @@ let () =
       ("arap1/hybrid", 1_500_000.0, 1_600_000.0);
     |]
   in
-  let answers = Cat.answer ~jobs:2 svc batch in
+  let answers = Cat.answer svc batch in
   Array.iteri
     (fun i (name, a, b) ->
       Printf.printf "%-14s [%9.0f, %9.0f] -> selectivity %.6f\n" name a b answers.(i))

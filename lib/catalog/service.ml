@@ -104,6 +104,21 @@ type info = {
   cached : bool;
 }
 
+let meta_of ~spec ~provenance ~inserts ~stale summary =
+  {
+    kind = Selest.Stored.any_kind summary;
+    spec;
+    provenance;
+    cells = Selest.Stored.any_cells summary;
+    domain = Selest.Stored.any_domain summary;
+    domain_y =
+      (match summary with
+      | Selest.Stored.Rect r -> Some (snd (Selest.Stored.rect_domains r))
+      | _ -> None);
+    inserts;
+    stale;
+  }
+
 let open_dir ?(config = default_config) ?shard dir =
   if config.capacity < 1 then invalid_arg "Catalog.Service.open_dir: capacity must be >= 1";
   if config.rebuild_after_inserts < 1 then
@@ -161,19 +176,8 @@ let open_dir ?(config = default_config) ?shard dir =
   List.iter
     (fun (e : Snapshot.entry) ->
       Hashtbl.replace t.index e.name
-        {
-          kind = Selest.Stored.any_kind e.summary;
-          spec = e.spec;
-          provenance = e.provenance;
-          cells = Selest.Stored.any_cells e.summary;
-          domain = Selest.Stored.any_domain e.summary;
-          domain_y =
-            (match e.summary with
-            | Selest.Stored.Rect r -> Some (snd (Selest.Stored.rect_domains r))
-            | _ -> None);
-          inserts = e.inserts;
-          stale = e.stale;
-        })
+        (meta_of ~spec:e.spec ~provenance:e.provenance ~inserts:e.inserts ~stale:e.stale
+           e.summary))
     entries;
   Telemetry.Metrics.add t.m_snapshot_load_errors (List.length skipped);
   Telemetry.Metrics.set t.m_entries (float_of_int (Hashtbl.length t.index));
@@ -233,21 +237,7 @@ let persist t name (m : meta) =
    restart. *)
 let install_built t ~name ~spec ~provenance summary =
   let existed = Hashtbl.mem t.index name in
-  let m =
-    {
-      kind = Selest.Stored.any_kind summary;
-      spec;
-      provenance;
-      cells = Selest.Stored.any_cells summary;
-      domain = Selest.Stored.any_domain summary;
-      domain_y =
-        (match summary with
-        | Selest.Stored.Rect r -> Some (snd (Selest.Stored.rect_domains r))
-        | _ -> None);
-      inserts = 0;
-      stale = false;
-    }
-  in
+  let m = meta_of ~spec ~provenance ~inserts:0 ~stale:false summary in
   Hashtbl.replace t.index name m;
   Lru.add t.cache name summary;
   Snapshot.save ~dir:t.dir
@@ -400,23 +390,20 @@ let resolve_range_exn t name =
       (Printf.sprintf "Catalog.Service: entry %S is a %s entry, not range" name
          (Selest.Stored.kind_name (Selest.Stored.any_kind other)))
 
-let answer ?(jobs = 1) t requests =
-  if jobs < 1 then invalid_arg "Catalog.Service.answer: jobs must be >= 1";
+let answer t requests =
   Telemetry.Metrics.add t.m_batch_requests (Array.length requests);
   Telemetry.Span.with_span ~hist:t.m_answer_seconds "catalog.answer" (fun () ->
       (* Group per entry: each distinct name costs one cache access per
-         batch, however many requests mention it.  Resolution runs in the
-         calling domain (cache and disk are single-owner); only the pure
-         summary probes fan out. *)
+         batch, however many requests mention it, even when the names
+         interleave (where [answer_into] resolves once per run). *)
       let resolved = Hashtbl.create 8 in
       Array.iter
         (fun (name, _, _) ->
           if not (Hashtbl.mem resolved name) then
             Hashtbl.replace resolved name (resolve_range_exn t name))
         requests;
-      Parallel.Map.map ~jobs
-        (fun (name, a, b) ->
-          Selest.Stored.selectivity (Hashtbl.find resolved name) ~a ~b)
+      Array.map
+        (fun (name, a, b) -> Selest.Stored.selectivity (Hashtbl.find resolved name) ~a ~b)
         requests)
 
 (* The served fast path.  Structure-of-arrays in, answers out, zero
@@ -487,13 +474,13 @@ let cache_stats t = Lru.stats t.cache
 (* FNV-1a over the entry name.  Stable across processes and OCaml
    versions; used both to place entries in shard directories and to
    derive per-entry reservoir seeds.  (Hashtbl.hash is explicitly not
-   that: its value is version-dependent.) *)
-let fnv1a name =
+   that: its value is version-dependent.)  Inlined, the closure-free loop
+   keeps the accumulator unboxed: the engine routes by it per request. *)
+let[@inline] fnv1a name =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    name;
+  for i = 0 to String.length name - 1 do
+    h := Int64.(mul (logxor !h (of_int (Char.code (String.unsafe_get name i)))) 0x100000001b3L)
+  done;
   !h
 
 (* ---------------- adaptivity ---------------- *)
@@ -851,11 +838,14 @@ let adaptive_stats t =
 (* The FNV-1a hash above, folded modulo the shard count.  The hash must
    be stable — it names the directory an entry persists in, so a
    different hash after an upgrade would strand every snapshot in the
-   wrong shard. *)
+   wrong shard.  The unsigned remainder folds the top 63 bits, then the
+   low one: [Int64.unsigned_rem] is an out-of-line call that boxes. *)
 let shard_of_name ~shards name =
   if shards < 1 then invalid_arg "Catalog.Service.shard_of_name: shards must be >= 1";
   if shards = 1 then 0
-  else Int64.to_int (Int64.unsigned_rem (fnv1a name) (Int64.of_int shards))
+  else
+    let h = fnv1a name and d = Int64.of_int shards in
+    Int64.(to_int (rem (add (shift_left (rem (shift_right_logical h 1) d) 1) (logand h 1L)) d))
 
 let shard_dir_name i = Printf.sprintf "shard-%d" i
 

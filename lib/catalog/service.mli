@@ -6,17 +6,15 @@
     persisted as an atomic snapshot file ({!Snapshot}), kept hot in an LRU
     cache ({!Lru}) while queried, tracked for staleness as the underlying
     relation changes, and rebuilt from a fresh sample when its insert
-    budget runs out.  Batch queries fan out over [Parallel.Map], so
-    serving throughput scales with the [jobs] knob while answers stay
-    bit-identical for every value of it.
+    budget runs out.  Queries are answered sequentially in the calling
+    thread; a served deployment gets its parallelism from shards
+    ({!open_sharded}), one service per dispatcher domain.
 
     The full entry lifecycle (build → snapshot → serve → stale → rebuild),
     the on-disk format and cache-tuning guidance are documented in
     [docs/CATALOG.md].
 
-    A service is single-owner (the cache mutates on reads); concurrency
-    lives {e inside} {!answer}, which only reads immutable summaries from
-    its worker domains. *)
+    A service is single-owner: the cache mutates on reads. *)
 
 type config = {
   capacity : int;  (** max summaries resident in the cache (default 32) *)
@@ -51,7 +49,8 @@ val shard_of_name : shards:int -> string -> int
     OCaml versions — it determines the directory an entry persists in —
     and [shards = 1] always maps to [0].  Both the on-disk layout of
     {!open_sharded} and the request router in [Server.Engine] use this
-    function, which is what makes them agree.
+    function, which is what makes them agree.  Allocation-free: the
+    engine calls it on every request it routes.
     @raise Invalid_argument if [shards < 1]. *)
 
 val shard_dir_name : int -> string
@@ -203,14 +202,13 @@ val drop : t -> string -> (unit, string) result
 (** Remove an entry entirely: index, cache and snapshot file.  [Error] on
     an unknown name. *)
 
-val answer : ?jobs:int -> t -> (string * float * float) array -> float array
+val answer : t -> (string * float * float) array -> float array
 (** [answer t requests] evaluates a batch of [(name, a, b)] range queries
     and returns their selectivities in request order.  Each distinct name
     is resolved once per batch — a cache hit, or a miss that loads the
-    snapshot and caches it — then the per-request evaluation runs on
-    [jobs] domains via [Parallel.Map.map]; results are bit-identical for
-    every [jobs] value.  @raise Invalid_argument on an unknown name, an
-    unreadable snapshot, or [jobs < 1]. *)
+    snapshot and caches it — however the names interleave.
+    @raise Invalid_argument on an unknown name or an unreadable
+    snapshot. *)
 
 val answer_into :
   t ->
@@ -227,10 +225,9 @@ val answer_into :
     (both reduce to the same per-cell probe; see
     [Selest.Stored.selectivity_into]).  Each maximal run of equal
     adjacent names is resolved once, so callers should keep same-entry
-    queries contiguous; at steady state (summaries resident, buffers
-    caller-owned) the call allocates nothing.  Evaluation is sequential
-    in the calling thread — the batch kernel is cheap enough that the
-    fan-out of {!answer} only pays off for cold mixes.
+    queries contiguous (on interleaved names {!answer}'s once-per-batch
+    resolution is faster); at steady state (summaries resident, buffers
+    caller-owned) the call allocates nothing.
     @raise Invalid_argument on an unknown name, an unreadable snapshot,
     [n < 0], or arrays shorter than [n]. *)
 

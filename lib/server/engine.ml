@@ -50,7 +50,6 @@
 module Service = Catalog.Service
 
 type config = {
-  jobs : int;
   max_inflight : int;
   max_batch : int;
   deadline_s : float;
@@ -61,7 +60,6 @@ type config = {
 
 let default_config =
   {
-    jobs = 1;
     max_inflight = 64;
     max_batch = 64;
     deadline_s = 5.0;
@@ -96,23 +94,13 @@ type stats = {
    record lives per connection *per shard*, not per request: the
    connection thread blocks awaiting every sub-job of a request before
    reading its next frame, so the records (and their mutex/condition)
-   are free for reuse the moment the replies land — [kind],
-   [enqueued_at] and [reply] are reset in place. *)
-type job_kind =
-  | Query of { triples : (string * float * float) array }
-  | Query1
-      (* a single estimate whose fields live in the job record itself
-         ([q1_entry], [q1_spec], [q1]) — the hot path carries no fresh
-         request value, so enqueueing one allocates nothing *)
-  | Ls_job
-  | Invalidate_job of string
-  | Insert_job of { entry : string; values : float array }
-  | Observe_job of { entry : string; oa : float; ob : float; actual : float }
-  | Rect_job of { entry : string; rx_lo : float; rx_hi : float; ry_lo : float; ry_hi : float }
-  | Join_job of { entry : string; pred : Selest.Stored.join_pred }
-
+   are free for reuse the moment the replies land — [req],
+   [enqueued_at] and [reply] are reset in place.  [req] is what the
+   decoder returned; a single estimate's fields live in the job record
+   itself ([q1_entry], [q1_spec], [q1]), so parking one carries no fresh
+   request value and allocates nothing. *)
 type job = {
-  mutable kind : job_kind;
+  mutable req : Wire.incoming;
   mutable enqueued_at : float;
   job_m : Mutex.t;
   job_c : Condition.t;
@@ -184,7 +172,6 @@ let create ?(config = default_config) ~services address =
   Wire.ignore_sigpipe ();
   if Array.length services < 1 then
     invalid_arg "Server.Engine.create: services must not be empty";
-  if config.jobs < 1 then invalid_arg "Server.Engine.create: jobs must be >= 1";
   if config.max_inflight < 0 then
     invalid_arg "Server.Engine.create: max_inflight must be >= 0";
   if config.max_batch < 1 then invalid_arg "Server.Engine.create: max_batch must be >= 1";
@@ -326,6 +313,12 @@ let complete job resp =
   Condition.broadcast job.job_c;
   Mutex.unlock job.job_m
 
+let internal_error message = Wire.Error_reply { code = Wire.Internal; message }
+
+let unknown_entry name =
+  Wire.Error_reply
+    { code = Wire.Unknown_entry; message = Printf.sprintf "unknown catalog entry %S" name }
+
 (* Pop the shard's next batch: blocks until a job arrives, the stop flag
    is raised, or the shard's condition is poked (an adaptive rebuild
    worker finishing), then takes queued jobs up to [max_batch] merged
@@ -344,11 +337,9 @@ let next_jobs t sh =
   while (not !full) && not (Queue.is_empty sh.sh_queue) do
     let j = Queue.peek sh.sh_queue in
     let cost =
-      match j.kind with
-      | Query { triples } -> max 1 (Array.length triples)
-      | Query1 | Ls_job | Invalidate_job _ | Insert_job _ | Observe_job _ | Rect_job _
-      | Join_job _ ->
-        1
+      match j.req with
+      | Wire.Decoded (Wire.Batch_estimate triples) -> max 1 (Array.length triples)
+      | Wire.Fast_estimate | Wire.Decoded _ -> 1
     in
     if !jobs <> [] && !merged + cost > t.config.max_batch then full := true
     else begin
@@ -374,6 +365,52 @@ let ls_reply sh =
            domain_y = i.Service.domain_y;
          })
        (Service.infos sh.sh_service))
+
+(* A service result as a reply.  An [Error] answers [Unknown_entry] when
+   no such entry is indexed and [Bad_request] (the caller's mistake, e.g.
+   a wrong-kind entry) otherwise — except that a non-adaptive server
+   refuses [insert] and [observe] as [Bad_request] whatever the name, so
+   those ([~adaptive:true]) check adaptivity before the entry. *)
+let reply_of sh ~adaptive entry ok = function
+  | Ok v -> ok v
+  | Error message ->
+    let unknown =
+      ((not adaptive) || Service.adaptive_enabled sh.sh_service)
+      && not (Service.mem sh.sh_service entry)
+    in
+    Wire.Error_reply
+      { code = (if unknown then Wire.Unknown_entry else Wire.Bad_request); message }
+
+(* Every request but a range query, answered inline by the shard's
+   service.  Rect and join delegate to the same [Selest.Stored]
+   arithmetic a direct [Multidim.Hist2d] or [Join.Ineqjoin] call uses,
+   so their served bits are identical by construction. *)
+let answer_request sh req =
+  let svc = sh.sh_service in
+  match req with
+  | Wire.Ls -> ls_reply sh
+  | Wire.Invalidate name ->
+    reply_of sh ~adaptive:false name (fun () -> Wire.Invalidated) (Service.invalidate svc name)
+  | Wire.Insert { entry; values } ->
+    reply_of sh ~adaptive:true entry
+      (fun (sampled, seen) -> Wire.Inserted { sampled; seen })
+      (Service.insert svc ~name:entry values)
+  | Wire.Observe { entry; a; b; actual } ->
+    reply_of sh ~adaptive:true entry
+      (fun v -> Wire.Observed v)
+      (Service.observe svc ~name:entry ~a ~b ~actual)
+  | Wire.Estimate_rect { entry; x_lo; x_hi; y_lo; y_hi } ->
+    reply_of sh ~adaptive:false entry
+      (fun v -> Wire.Estimate_reply v)
+      (Service.answer_rect svc ~name:entry ~x_lo ~x_hi ~y_lo ~y_hi)
+  | Wire.Estimate_join { entry; pred } ->
+    reply_of sh ~adaptive:false entry
+      (fun v -> Wire.Estimate_reply v)
+      (Service.answer_join svc ~name:entry ~pred)
+  | Wire.Ping -> Wire.Pong
+  | Wire.Estimate _ | Wire.Batch_estimate _ ->
+    (* Range queries are merged by [run_queries]; none is routed here. *)
+    internal_error "range query outside a dispatcher batch"
 
 let ensure_merge_capacity mb total =
   if Array.length mb.mb_names < total then begin
@@ -407,21 +444,18 @@ let run_queries sh ~complete query_jobs =
     let off = ref 0 in
     List.iter
       (fun (job, len) ->
-        (match job.kind with
-        | Query { triples } ->
+        (match job.req with
+        | Wire.Decoded (Wire.Batch_estimate triples) ->
           for i = 0 to len - 1 do
             let name, qa, qb = Array.unsafe_get triples i in
             Array.unsafe_set mb.mb_names (!off + i) name;
             Array.unsafe_set mb.mb_a (!off + i) qa;
             Array.unsafe_set mb.mb_b (!off + i) qb
           done
-        | Query1 ->
+        | Wire.Fast_estimate | Wire.Decoded _ ->
           Array.unsafe_set mb.mb_names !off job.q1_entry;
           Array.unsafe_set mb.mb_a !off job.q1.Wire.sa;
-          Array.unsafe_set mb.mb_b !off job.q1.Wire.sb
-        | Ls_job | Invalidate_job _ | Insert_job _ | Observe_job _ | Rect_job _
-        | Join_job _ ->
-          assert false);
+          Array.unsafe_set mb.mb_b !off job.q1.Wire.sb);
         off := !off + len)
       query_jobs;
     match
@@ -433,12 +467,10 @@ let run_queries sh ~complete query_jobs =
       List.iter
         (fun (job, len) ->
           let reply =
-            match job.kind with
-            | Query1 -> Wire.Estimate_reply mb.mb_out.(!off)
-            | Query _ -> Wire.Batch_reply (Array.sub mb.mb_out !off len)
-            | Ls_job | Invalidate_job _ | Insert_job _ | Observe_job _ | Rect_job _
-            | Join_job _ ->
-              assert false
+            match job.req with
+            | Wire.Decoded (Wire.Batch_estimate _) ->
+              Wire.Batch_reply (Array.sub mb.mb_out !off len)
+            | Wire.Fast_estimate | Wire.Decoded _ -> Wire.Estimate_reply mb.mb_out.(!off)
           in
           off := !off + len;
           ignore (Atomic.fetch_and_add sh.sh_answered len);
@@ -448,10 +480,8 @@ let run_queries sh ~complete query_jobs =
       (* Unreadable snapshot mid-flight: the whole merged call is lost,
          so every member gets the typed internal error rather than a
          hung connection. *)
-      let message = Printexc.to_string e in
-      List.iter
-        (fun (job, _) -> complete job (Wire.Error_reply { code = Wire.Internal; message }))
-        query_jobs
+      let reply = internal_error (Printexc.to_string e) in
+      List.iter (fun (job, _) -> complete job reply) query_jobs
   end
   else
     (* Zero-length query jobs are answered before they enqueue, but a
@@ -482,142 +512,56 @@ let process_batch_exn t sh ~complete jobs =
         else true)
       jobs
   in
-  (* Catalog metadata operations run inline; queries are validated, then
-     merged into one Service.answer call. *)
+  (* Range queries are validated, then merged into one
+     [Service.answer_into] call; every other request is answered inline. *)
   let query_jobs =
     List.filter_map
       (fun job ->
-        match job.kind with
-        | Ls_job ->
-          complete job (ls_reply sh);
-          None
-        | Invalidate_job name ->
-          (* Caught per job: a persist failure (unreadable snapshot dir,
-             full disk) answers this request Internal and leaves the rest
-             of the batch to run. *)
-          (match Service.invalidate sh.sh_service name with
-          | Ok () -> complete job Wire.Invalidated
-          | Error message ->
-            complete job (Wire.Error_reply { code = Wire.Unknown_entry; message })
-          | exception e ->
-            complete job
-              (Wire.Error_reply { code = Wire.Internal; message = Printexc.to_string e }));
-          None
-        | Insert_job { entry; values } ->
-          (match Service.insert sh.sh_service ~name:entry values with
-          | Ok (sampled, seen) -> complete job (Wire.Inserted { sampled; seen })
-          | Error message ->
-            let code =
-              if
-                Service.adaptive_enabled sh.sh_service
-                && not (Service.mem sh.sh_service entry)
-              then Wire.Unknown_entry
-              else Wire.Bad_request
-            in
-            complete job (Wire.Error_reply { code; message })
-          | exception e ->
-            complete job
-              (Wire.Error_reply { code = Wire.Internal; message = Printexc.to_string e }));
-          None
-        | Observe_job { entry; oa; ob; actual } ->
-          (match Service.observe sh.sh_service ~name:entry ~a:oa ~b:ob ~actual with
-          | Ok refined -> complete job (Wire.Observed refined)
-          | Error message ->
-            let code =
-              if
-                Service.adaptive_enabled sh.sh_service
-                && not (Service.mem sh.sh_service entry)
-              then Wire.Unknown_entry
-              else Wire.Bad_request
-            in
-            complete job (Wire.Error_reply { code; message })
-          | exception e ->
-            complete job
-              (Wire.Error_reply { code = Wire.Internal; message = Printexc.to_string e }));
-          None
-        | Rect_job { entry; rx_lo; rx_hi; ry_lo; ry_hi } ->
-          (* Delegates to the same [Selest.Stored.rect_selectivity] a
-             direct [Multidim.Hist2d] call uses, so the served bits are
-             identical by construction.  A wrong-kind entry is the
-             caller's mistake (Bad_request), an unknown one is the
-             routing's usual typed refusal. *)
-          (match
-             Service.answer_rect sh.sh_service ~name:entry ~x_lo:rx_lo ~x_hi:rx_hi
-               ~y_lo:ry_lo ~y_hi:ry_hi
-           with
-          | Ok v ->
-            Atomic.incr sh.sh_answered;
-            complete job (Wire.Estimate_reply v)
-          | Error message ->
-            let code =
-              if Service.mem sh.sh_service entry then Wire.Bad_request
-              else Wire.Unknown_entry
-            in
-            complete job (Wire.Error_reply { code; message })
-          | exception e ->
-            complete job
-              (Wire.Error_reply { code = Wire.Internal; message = Printexc.to_string e }));
-          None
-        | Join_job { entry; pred } ->
-          (match Service.answer_join sh.sh_service ~name:entry ~pred with
-          | Ok v ->
-            Atomic.incr sh.sh_answered;
-            complete job (Wire.Estimate_reply v)
-          | Error message ->
-            let code =
-              if Service.mem sh.sh_service entry then Wire.Bad_request
-              else Wire.Unknown_entry
-            in
-            complete job (Wire.Error_reply { code; message })
-          | exception e ->
-            complete job
-              (Wire.Error_reply { code = Wire.Internal; message = Printexc.to_string e }));
-          None
-        | Query1 ->
-          if not (Service.mem sh.sh_service job.q1_entry) then begin
-            complete job
-              (Wire.Error_reply
-                 {
-                   code = Wire.Unknown_entry;
-                   message = Printf.sprintf "unknown catalog entry %S" job.q1_entry;
-                 });
-            None
-          end
-          else begin
-            let spec_conflict =
-              job.q1_spec <> ""
-              &&
-              match Service.info sh.sh_service job.q1_entry with
-              | Some i -> i.Service.spec <> job.q1_spec
-              | None -> false
-            in
-            if spec_conflict then begin
-              complete job
-                (Wire.Error_reply
-                   {
-                     code = Wire.Spec_mismatch;
-                     message =
-                       Printf.sprintf "entry was not built with spec %S" job.q1_spec;
-                   });
-              None
-            end
-            else Some (job, 1)
-          end
-        | Query { triples } -> (
+        match job.req with
+        | Wire.Decoded (Wire.Batch_estimate triples) -> (
           match
             Array.find_opt
               (fun (name, _, _) -> not (Service.mem sh.sh_service name))
               triples
           with
           | Some (name, _, _) ->
+            complete job (unknown_entry name);
+            None
+          | None -> Some (job, Array.length triples))
+        | Wire.Fast_estimate | Wire.Decoded (Wire.Estimate _) ->
+          if not (Service.mem sh.sh_service job.q1_entry) then begin
+            complete job (unknown_entry job.q1_entry);
+            None
+          end
+          else if
+            job.q1_spec <> ""
+            &&
+            match Service.info sh.sh_service job.q1_entry with
+            | Some i -> i.Service.spec <> job.q1_spec
+            | None -> false
+          then begin
             complete job
               (Wire.Error_reply
                  {
-                   code = Wire.Unknown_entry;
-                   message = Printf.sprintf "unknown catalog entry %S" name;
+                   code = Wire.Spec_mismatch;
+                   message = Printf.sprintf "entry was not built with spec %S" job.q1_spec;
                  });
             None
-          | None -> Some (job, Array.length triples)))
+          end
+          else Some (job, 1)
+        | Wire.Decoded req ->
+          (* Caught per job: a persist failure (unreadable snapshot dir,
+             full disk) answers this request Internal and leaves the rest
+             of the batch to run. *)
+          let reply =
+            match answer_request sh req with
+            | reply -> reply
+            | exception e -> internal_error (Printexc.to_string e)
+          in
+          (* Rect and join answers count as answered estimates. *)
+          (match reply with Wire.Estimate_reply _ -> Atomic.incr sh.sh_answered | _ -> ());
+          complete job reply;
+          None)
       live
   in
   run_queries sh ~complete query_jobs
@@ -636,19 +580,10 @@ let process_batch t sh jobs =
   in
   try process_batch_exn t sh ~complete:complete_job jobs
   with e ->
-    let message = Printexc.to_string e in
-    List.iter
-      (fun job ->
-        if not (List.memq job !completed) then
-          complete job (Wire.Error_reply { code = Wire.Internal; message }))
-      jobs
+    let reply = internal_error (Printexc.to_string e) in
+    List.iter (fun job -> if not (List.memq job !completed) then complete job reply) jobs
 
-let shard_down_reply sh =
-  Wire.Error_reply
-    {
-      code = Wire.Internal;
-      message = Printf.sprintf "shard %d dispatcher is down" sh.sh_id;
-    }
+let shard_down_reply sh = internal_error (Printf.sprintf "shard %d dispatcher is down" sh.sh_id)
 
 (* The body of a shard's dispatcher domain.  On the way out — a normal
    stop, or an escaped exception (the per-batch backstop makes that
@@ -734,7 +669,7 @@ type conn_state = { jobs : job array }
 
 let fresh_job () =
   {
-    kind = Ls_job;
+    req = Wire.Decoded Wire.Ping;
     enqueued_at = 0.0;
     job_m = Mutex.create ();
     job_c = Condition.create ();
@@ -755,11 +690,14 @@ let await_reply job =
   Mutex.unlock job.job_m;
   r
 
-(* Reset the connection's shard-[i] job in place (the dispatcher
+(* Reset the connection's shard-[s] job in place (the dispatcher
    finished with it before the previous [await_reply] returned) and park
    it on the shard's queue — unless the shard is down, in which case the
    job completes immediately with the typed refusal. *)
-let park sh job =
+let park t cs s incoming =
+  let sh = t.shards.(s) in
+  let job = cs.jobs.(s) in
+  job.req <- incoming;
   job.enqueued_at <- Unix.gettimeofday ();
   job.reply <- None;
   Mutex.lock sh.sh_m;
@@ -771,30 +709,50 @@ let park sh job =
     Queue.push job sh.sh_queue;
     Condition.broadcast sh.sh_c;
     Mutex.unlock sh.sh_m
-  end;
-  job
-
-let enqueue t cs shard_idx kind =
-  let sh = t.shards.(shard_idx) in
-  let job = cs.jobs.(shard_idx) in
-  job.kind <- kind;
-  park sh job
-
-(* The hot enqueue: the decoded fields move from the connection's wire
-   scratch into the job record field-by-field (string refs and
-   float-record stores — no request value, no closure), so parking a
-   single estimate allocates nothing. *)
-let enqueue_estimate t cs shard_idx (sc : Wire.scratch) =
-  let sh = t.shards.(shard_idx) in
-  let job = cs.jobs.(shard_idx) in
-  job.kind <- Query1;
-  job.q1_entry <- sc.Wire.s_entry;
-  job.q1_spec <- sc.Wire.s_spec;
-  job.q1.Wire.sa <- sc.Wire.s_q.Wire.sa;
-  job.q1.Wire.sb <- sc.Wire.s_q.Wire.sb;
-  park sh job
+  end
 
 let shard_of t name = Service.shard_of_name ~shards:(Array.length t.shards) name
+
+(* Park a single-entry request on the shard that owns its entry.  A
+   single estimate's fields move into the job's [q1_*] slots field by
+   field (string refs and float-record stores — no request value, no
+   closure), so parking one allocates nothing; an estimate that arrives
+   as a decoded value takes the same slots.  Pings never leave the
+   connection thread, so they have no entry. *)
+let enqueue t cs (sc : Wire.scratch) incoming =
+  let entry =
+    match incoming with
+    | Wire.Fast_estimate -> sc.Wire.s_entry
+    | Wire.Decoded
+        ( Wire.Estimate { entry; _ }
+        | Wire.Insert { entry; _ }
+        | Wire.Observe { entry; _ }
+        | Wire.Estimate_rect { entry; _ }
+        | Wire.Estimate_join { entry; _ }
+        | Wire.Invalidate entry ) ->
+      entry
+    | Wire.Decoded (Wire.Ping | Wire.Ls | Wire.Batch_estimate _) -> ""
+  in
+  let s = shard_of t entry in
+  let job = cs.jobs.(s) in
+  (match incoming with
+  | Wire.Fast_estimate ->
+    job.q1_entry <- sc.Wire.s_entry;
+    job.q1_spec <- sc.Wire.s_spec;
+    job.q1.Wire.sa <- sc.Wire.s_q.Wire.sa;
+    job.q1.Wire.sb <- sc.Wire.s_q.Wire.sb
+  | Wire.Decoded (Wire.Estimate { entry; a; b; spec }) ->
+    job.q1_entry <- entry;
+    job.q1_spec <- spec;
+    job.q1.Wire.sa <- a;
+    job.q1.Wire.sb <- b
+  | Wire.Decoded _ -> ());
+  park t cs s incoming;
+  await_reply job
+
+(* The first error reply among the shards' replies, if any. *)
+let first_error replies =
+  List.find_map (fun r -> match r with Wire.Error_reply _ -> Some r | _ -> None) replies
 
 (* Split a multi-entry batch across the shards that own its entries,
    await every sub-reply, and reassemble in request order.  Each
@@ -806,7 +764,7 @@ let shard_of t name = Service.shard_of_name ~shards:(Array.length t.shards) name
    stands for the whole frame (deterministic, though the reported entry
    may differ from the single-shard path, which scans in request
    order). *)
-let route_batch t cs triples =
+let route_batch t cs incoming triples =
   let nshards = Array.length t.shards in
   let n = Array.length triples in
   let shard_of_query = Array.map (fun (name, _, _) -> shard_of t name) triples in
@@ -820,36 +778,26 @@ let route_batch t cs triples =
   | [ s ] ->
     (* Single-shard frame (the common case, and every frame when
        [shards = 1]): no splitting, no scatter — the job carries the
-       client's array as-is. *)
-    await_reply (enqueue t cs s (Query { triples }))
-  | involved ->
+       decoder's request as-is. *)
+    park t cs s incoming;
+    await_reply cs.jobs.(s)
+  | involved -> (
     let subs = Array.make nshards [||] in
-    List.iter
-      (fun s -> subs.(s) <- Array.make counts.(s) ("", 0.0, 0.0))
-      involved;
+    List.iter (fun s -> subs.(s) <- Array.make counts.(s) ("", 0.0, 0.0)) involved;
     let cursors = Array.make nshards 0 in
     for i = 0 to n - 1 do
       let s = shard_of_query.(i) in
       subs.(s).(cursors.(s)) <- triples.(i);
       cursors.(s) <- cursors.(s) + 1
     done;
-    (* Enqueue every sub-job before awaiting any: the shards evaluate
+    (* Park every sub-job before awaiting any: the shards evaluate
        their slices concurrently. *)
-    List.iter
-      (fun s ->
-        ignore (enqueue t cs s (Query { triples = subs.(s) })))
-      involved;
+    List.iter (fun s -> park t cs s (Wire.Decoded (Wire.Batch_estimate subs.(s)))) involved;
     let replies = List.map (fun s -> (s, await_reply cs.jobs.(s))) involved in
-    let error =
-      List.find_map
-        (fun (_, r) -> match r with Wire.Error_reply _ -> Some r | _ -> None)
-        replies
-    in
-    (match error with
+    match first_error (List.map snd replies) with
     | Some e -> e
     | None ->
       let out = Array.make n 0.0 in
-      Array.fill cursors 0 nshards 0;
       List.iter
         (fun (s, r) ->
           match r with
@@ -871,73 +819,46 @@ let route_batch t cs triples =
    and merges the per-shard listings (each sorted; entry names are
    disjoint across shards, so a plain sort of the concatenation is the
    global sorted listing). *)
-let route_ls t cs =
+let route_ls t cs incoming =
   let nshards = Array.length t.shards in
   for s = 0 to nshards - 1 do
-    ignore (enqueue t cs s Ls_job)
+    park t cs s incoming
   done;
   let replies = List.init nshards (fun s -> await_reply cs.jobs.(s)) in
-  let error =
-    List.find_map
-      (fun r -> match r with Wire.Error_reply _ -> Some r | _ -> None)
-      replies
-  in
-  match error with
+  match first_error replies with
   | Some e -> e
   | None ->
     Wire.Ls_reply
-      (List.concat_map
-         (fun r -> match r with Wire.Ls_reply es -> es | _ -> [])
-         replies
+      (List.concat_map (fun r -> match r with Wire.Ls_reply es -> es | _ -> []) replies
       |> List.sort (fun (a : Wire.entry_info) b -> String.compare a.name b.name))
 
-let route t cs req =
-  match req with
-  | Wire.Ls -> if Array.length t.shards = 1 then await_reply (enqueue t cs 0 Ls_job) else route_ls t cs
-  | Wire.Invalidate name -> await_reply (enqueue t cs (shard_of t name) (Invalidate_job name))
-  | Wire.Estimate { entry; a; b; spec } ->
-    (* Only reachable for an [Estimate] arriving as a [Decoded] value
-       (e.g. via tests calling [decode_request]); the serving read loop
-       takes the scratch path through [enqueue_estimate] instead. *)
-    let shard_idx = shard_of t entry in
-    let job = cs.jobs.(shard_idx) in
-    job.kind <- Query1;
-    job.q1_entry <- entry;
-    job.q1_spec <- spec;
-    job.q1.Wire.sa <- a;
-    job.q1.Wire.sb <- b;
-    await_reply (park t.shards.(shard_idx) job)
-  | Wire.Batch_estimate triples -> route_batch t cs triples
-  | Wire.Insert { entry; values } ->
-    await_reply (enqueue t cs (shard_of t entry) (Insert_job { entry; values }))
-  | Wire.Observe { entry; a; b; actual } ->
-    await_reply
-      (enqueue t cs (shard_of t entry) (Observe_job { entry; oa = a; ob = b; actual }))
-  | Wire.Estimate_rect { entry; x_lo; x_hi; y_lo; y_hi } ->
-    await_reply
-      (enqueue t cs (shard_of t entry)
-         (Rect_job { entry; rx_lo = x_lo; rx_hi = x_hi; ry_lo = y_lo; ry_hi = y_hi }))
-  | Wire.Estimate_join { entry; pred } ->
-    await_reply (enqueue t cs (shard_of t entry) (Join_job { entry; pred }))
-  | Wire.Ping -> assert false
+let route t cs sc incoming =
+  match incoming with
+  | Wire.Decoded Wire.Ls -> route_ls t cs incoming
+  | Wire.Decoded (Wire.Batch_estimate triples) -> route_batch t cs incoming triples
+  | _ -> enqueue t cs sc incoming
 
 (* ---------------- connection threads ---------------- *)
 
-let handle_request t w fd cs req =
-  match req with
-  | Wire.Ping -> send w fd Wire.Pong
+(* The admission-and-drain gate every decoded frame passes.  Pings are
+   answered even while draining.  An empty batch is answered inline:
+   enqueued, its zero-length job would contribute nothing to a
+   dispatcher's merged call.  Admission is the increment itself —
+   check-then-increment would let two threads race past the limit
+   together — and takes one slot per request, however many shards its
+   queries fan out to.  The slot is released after the reply is written
+   (or the write fails), which is what lets the drain sequence equate
+   "inflight = 0" with "every accepted request was answered"; the
+   explicit match instead of [Fun.protect] keeps the single-estimate
+   path free of closures. *)
+let handle t w fd cs sc incoming =
+  match incoming with
+  | Wire.Decoded Wire.Ping -> send w fd Wire.Pong
   | _ when Atomic.get t.draining ->
     Atomic.incr t.s_refused_draining;
     send w fd (Wire.Error_reply { code = Wire.Draining; message = "server is draining" })
-  | Wire.Batch_estimate [||] ->
-    (* A legal frame with nothing to evaluate.  Answered inline: enqueued,
-       its zero-length job would contribute nothing to a dispatcher's
-       merged call and could otherwise park forever. *)
-    send w fd (Wire.Batch_reply [||])
-  | req ->
-    (* Admission is the increment itself: check-then-increment would let
-       two threads race past the limit together.  One slot per request,
-       however many shards its queries fan out to. *)
+  | Wire.Decoded (Wire.Batch_estimate [||]) -> send w fd (Wire.Batch_reply [||])
+  | _ -> (
     let prev = Atomic.fetch_and_add t.inflight 1 in
     if prev >= t.config.max_inflight then begin
       Atomic.decr t.inflight;
@@ -948,51 +869,15 @@ let handle_request t w fd cs req =
            {
              code = Wire.Overloaded;
              message =
-               Printf.sprintf "%d requests in flight (limit %d)" prev
-                 t.config.max_inflight;
+               Printf.sprintf "%d requests in flight (limit %d)" prev t.config.max_inflight;
            })
     end
     else
-      (* The decrement runs after the reply is written (or the write
-         fails), which is what lets the drain sequence equate
-         "inflight = 0" with "every accepted request was answered". *)
-      Fun.protect
-        ~finally:(fun () -> Atomic.decr t.inflight)
-        (fun () -> send w fd (route t cs req))
-
-(* [handle_request] specialized to the scratch-decoded single estimate.
-   Same admission/draining protocol, but the unwind is an explicit
-   match rather than [Fun.protect]: the hot path allocates neither the
-   [~finally] closure nor the body thunk. *)
-let handle_estimate t w fd cs sc =
-  if Atomic.get t.draining then begin
-    Atomic.incr t.s_refused_draining;
-    send w fd (Wire.Error_reply { code = Wire.Draining; message = "server is draining" })
-  end
-  else begin
-    let prev = Atomic.fetch_and_add t.inflight 1 in
-    if prev >= t.config.max_inflight then begin
-      Atomic.decr t.inflight;
-      Atomic.incr t.s_overloaded;
-      Telemetry.Metrics.incr t.m_overloaded;
-      send w fd
-        (Wire.Error_reply
-           {
-             code = Wire.Overloaded;
-             message =
-               Printf.sprintf "%d requests in flight (limit %d)" prev
-                 t.config.max_inflight;
-           })
-    end
-    else
-      match
-        send w fd (await_reply (enqueue_estimate t cs (shard_of t sc.Wire.s_entry) sc))
-      with
+      match send w fd (route t cs sc incoming) with
       | () -> Atomic.decr t.inflight
       | exception e ->
         Atomic.decr t.inflight;
-        raise e
-  end
+        raise e)
 
 let conn_loop t fd =
   let w = Wire.create_writer () in
@@ -1019,18 +904,11 @@ let conn_loop t fd =
         Atomic.incr t.s_protocol_errors;
         send w fd (Wire.Error_reply { code = Wire.Bad_request; message });
         loop ()
-      | Ok Wire.Fast_estimate ->
+      | Ok incoming ->
         Atomic.incr t.s_requests;
         Telemetry.Metrics.incr t.m_requests;
         let t0 = Unix.gettimeofday () in
-        handle_estimate t w fd cs sc;
-        Telemetry.Metrics.observe_s t.m_request_seconds (Unix.gettimeofday () -. t0);
-        loop ()
-      | Ok (Wire.Decoded req) ->
-        Atomic.incr t.s_requests;
-        Telemetry.Metrics.incr t.m_requests;
-        let t0 = Unix.gettimeofday () in
-        handle_request t w fd cs req;
+        handle t w fd cs sc incoming;
         Telemetry.Metrics.observe_s t.m_request_seconds (Unix.gettimeofday () -. t0);
         loop ()
   in

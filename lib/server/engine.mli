@@ -34,12 +34,6 @@
     Semantics and tuning guidance live in [docs/SERVING.md]. *)
 
 type config = {
-  jobs : int;
-      (** retained for compatibility: merged batches now run through the
-          sequential [Catalog.Service.answer_into] fast path, which
-          outruns the former [Parallel.Map] fan-out at serving batch
-          sizes (parallelism across batches comes from shards); must
-          still be [>= 1] *)
   max_inflight : int;
       (** admission-control limit: requests being evaluated or queued;
           at the limit new requests get an immediate [Overloaded] reply.
@@ -63,13 +57,16 @@ type config = {
 }
 
 val default_config : config
-(** [{ jobs = 1; max_inflight = 64; max_batch = 64; deadline_s = 5.0;
-      accept_backlog = 64; tick_s = 0.02; dispatch_delay_s = 0.0 }]. *)
+(** [{ max_inflight = 64; max_batch = 64; deadline_s = 5.0;
+      accept_backlog = 64; tick_s = 0.02; dispatch_delay_s = 0.0 }].
+    Evaluation parallelism comes from shards: each shard's dispatcher
+    evaluates its merged batches sequentially. *)
 
 type shard_stats = {
   shard_batches : int;  (** [Catalog.Service.answer_into] calls this shard issued *)
   shard_batched_queries : int;  (** range queries folded into those calls *)
-  shard_answered : int;  (** range queries this shard answered with an estimate *)
+  shard_answered : int;
+      (** estimates this shard answered: range queries, rectangles and joins *)
   shard_swaps : int;
       (** adaptive summary versions this shard's dispatcher swapped in
           (rebuilds and feedback refreshes; [0] unless the services were
@@ -79,7 +76,9 @@ type shard_stats = {
 type stats = {
   connections : int;  (** connections accepted *)
   requests : int;  (** frames decoded into well-formed requests *)
-  answered : int;  (** range queries answered with an estimate (all shards) *)
+  answered : int;
+      (** estimates answered, all shards: range queries, rectangles and
+          joins *)
   overloaded : int;  (** requests refused by admission control *)
   timeouts : int;  (** requests expired past their deadline *)
   refused_draining : int;  (** requests refused because a drain had begun *)

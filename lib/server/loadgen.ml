@@ -111,17 +111,27 @@ type worker_out = {
       (** per-exchange (class, latency) when the caller classifies *)
 }
 
+let new_out () = { w_latencies = []; w_ok = 0; w_errors = []; w_classed = [] }
+
 let record_error out cls =
   out.w_errors <-
     (match List.assoc_opt cls out.w_errors with
     | Some n -> (cls, n + 1) :: List.remove_assoc cls out.w_errors
     | None -> (cls, 1) :: out.w_errors)
 
+(* One single-query exchange's outcome: its answer lands in slot [pos]. *)
+let record_answer out answers pos = function
+  | Ok x ->
+    answers.(pos) <- x;
+    out.w_ok <- out.w_ok + 1
+  | Error e -> record_error out (error_class e)
+
+let ms x = 1000.0 *. x
+
 (* Summarize one class's latency samples with exact percentiles. *)
 let group_of samples =
   let arr = Array.of_list samples in
   Array.sort compare arr;
-  let ms x = 1000.0 *. x in
   { g_n = Array.length arr; g_p50_ms = ms (percentile arr 0.50); g_p99_ms = ms (percentile arr 0.99) }
 
 let merge_groups outs =
@@ -137,11 +147,45 @@ let merge_groups outs =
   Hashtbl.fold (fun cls samples acc -> (cls, group_of samples) :: acc) by_class []
   |> List.sort compare
 
-let run ?(client_config = Client.default_config) ?(batch = 1) ?classify ~connections ~address
-    requests =
-  if connections < 1 then invalid_arg "Server.Loadgen.run: connections < 1";
-  if batch < 1 then invalid_arg "Server.Loadgen.run: batch < 1";
-  let total = Array.length requests in
+(* Every worker's latency samples, sorted for exact percentiles. *)
+let sorted_latencies outs =
+  let latencies =
+    Array.of_list (Array.fold_left (fun acc o -> List.rev_append o.w_latencies acc) [] outs)
+  in
+  Array.sort compare latencies;
+  latencies
+
+(* Every worker's failures, summed per class and sorted. *)
+let merged_errors outs =
+  Array.fold_left
+    (fun acc o ->
+      List.fold_left
+        (fun acc (cls, n) ->
+          match List.assoc_opt cls acc with
+          | Some m -> (cls, m + n) :: List.remove_assoc cls acc
+          | None -> (cls, n) :: acc)
+        acc o.w_errors)
+    [] outs
+  |> List.sort compare
+
+(* Mean and slowest of sorted latencies, in milliseconds ([nan] if none). *)
+let mean_ms sorted =
+  let n = Array.length sorted in
+  if n = 0 then Float.nan else ms (Array.fold_left ( +. ) 0.0 sorted /. float_of_int n)
+
+let max_ms sorted =
+  let n = Array.length sorted in
+  if n = 0 then Float.nan else ms sorted.(n - 1)
+
+(* The closed loop behind [run] and [run_mixed]: [connections] worker
+   threads, each with its own client, walk contiguous slices of the
+   [total] requests.  [step client answers pos stop out] performs one
+   exchange starting at request [pos] (the worker's slice ends before
+   [stop]), records its outcome, and returns how many requests it
+   covered. *)
+let closed_loop ~who ~(client_config : Client.config) ~classify ~connections ~address ~total
+    step =
+  if connections < 1 then invalid_arg (who ^ ": connections < 1");
   let answers = Array.make total Float.nan in
   let m_queries =
     Telemetry.Metrics.counter "loadgen_queries_total" ~help:"Queries issued by the load generator"
@@ -150,10 +194,7 @@ let run ?(client_config = Client.default_config) ?(batch = 1) ?classify ~connect
     Telemetry.Metrics.histogram "loadgen_latency_seconds"
       ~help:"Round-trip latency of load-generator exchanges"
   in
-  let outs =
-    Array.init connections (fun _ ->
-        { w_latencies = []; w_ok = 0; w_errors = []; w_classed = [] })
-  in
+  let outs = Array.init connections (fun _ -> new_out ()) in
   let worker i () =
     let out = outs.(i) in
     let start, len = slice_bounds total connections i in
@@ -164,22 +205,8 @@ let run ?(client_config = Client.default_config) ?(batch = 1) ?classify ~connect
     let pos = ref start in
     let stop = start + len in
     while !pos < stop do
-      let n = min batch (stop - !pos) in
       let t0 = Unix.gettimeofday () in
-      (if n = 1 then begin
-         let entry, a, b = requests.(!pos) in
-         match Client.estimate client ~entry ~a ~b with
-         | Ok x ->
-           answers.(!pos) <- x;
-           out.w_ok <- out.w_ok + 1
-         | Error e -> record_error out (error_class e)
-       end
-       else
-         match Client.batch_estimate client (Array.sub requests !pos n) with
-         | Ok xs ->
-           Array.blit xs 0 answers !pos n;
-           out.w_ok <- out.w_ok + n
-         | Error e -> record_error out (error_class e));
+      let n = step client answers !pos stop out in
       let dt = Unix.gettimeofday () -. t0 in
       out.w_latencies <- dt :: out.w_latencies;
       (match classify with
@@ -195,131 +222,56 @@ let run ?(client_config = Client.default_config) ?(batch = 1) ?classify ~connect
   let threads = Array.init connections (fun i -> Thread.create (worker i) ()) in
   Array.iter Thread.join threads;
   let wall_s = Unix.gettimeofday () -. t0 in
-  let latencies =
-    Array.of_list (Array.fold_left (fun acc o -> List.rev_append o.w_latencies acc) [] outs)
-  in
-  Array.sort compare latencies;
-  let ok = Array.fold_left (fun n o -> n + o.w_ok) 0 outs in
-  let errors =
-    Array.fold_left
-      (fun acc o ->
-        List.fold_left
-          (fun acc (cls, n) ->
-            match List.assoc_opt cls acc with
-            | Some m -> (cls, m + n) :: List.remove_assoc cls acc
-            | None -> (cls, n) :: acc)
-          acc o.w_errors)
-      [] outs
-    |> List.sort compare
-  in
-  let ms x = 1000.0 *. x in
-  let sum = Array.fold_left ( +. ) 0.0 latencies in
-  let exchanges = Array.length latencies in
+  let latencies = sorted_latencies outs in
   {
     connections;
     queries = total;
-    ok;
+    ok = Array.fold_left (fun n o -> n + o.w_ok) 0 outs;
     wall_s;
     throughput_qps = (if wall_s > 0.0 then float_of_int total /. wall_s else 0.0);
-    mean_ms = (if exchanges > 0 then ms (sum /. float_of_int exchanges) else Float.nan);
+    mean_ms = mean_ms latencies;
     p50_ms = ms (percentile latencies 0.50);
     p95_ms = ms (percentile latencies 0.95);
     p99_ms = ms (percentile latencies 0.99);
-    max_ms = (if exchanges > 0 then ms latencies.(exchanges - 1) else Float.nan);
-    errors;
+    max_ms = max_ms latencies;
+    errors = merged_errors outs;
     answers;
     groups = (match classify with None -> [] | Some _ -> merge_groups outs);
   }
+
+let run ?(client_config = Client.default_config) ?(batch = 1) ?classify ~connections ~address
+    requests =
+  if batch < 1 then invalid_arg "Server.Loadgen.run: batch < 1";
+  closed_loop ~who:"Server.Loadgen.run" ~client_config ~classify ~connections ~address
+    ~total:(Array.length requests) (fun client answers pos stop out ->
+      let n = min batch (stop - pos) in
+      (if n = 1 then
+         let entry, a, b = requests.(pos) in
+         record_answer out answers pos (Client.estimate client ~entry ~a ~b)
+       else
+         match Client.batch_estimate client (Array.sub requests pos n) with
+         | Ok xs ->
+           Array.blit xs 0 answers pos n;
+           out.w_ok <- out.w_ok + n
+         | Error e -> record_error out (error_class e));
+      n)
 
 (* The mixed-kind closed loop: one exchange per request, dispatched by
    the request's kind.  Per-kind latency groups are always on — they are
    the point of a mixed run — keyed ["range"], ["rect"], ["join"]. *)
 let run_mixed ?(client_config = Client.default_config) ~connections ~address requests =
-  if connections < 1 then invalid_arg "Server.Loadgen.run_mixed: connections < 1";
-  let total = Array.length requests in
-  let answers = Array.make total Float.nan in
-  let m_queries =
-    Telemetry.Metrics.counter "loadgen_queries_total" ~help:"Queries issued by the load generator"
-  in
-  let m_latency =
-    Telemetry.Metrics.histogram "loadgen_latency_seconds"
-      ~help:"Round-trip latency of load-generator exchanges"
-  in
-  let outs =
-    Array.init connections (fun _ ->
-        { w_latencies = []; w_ok = 0; w_errors = []; w_classed = [] })
-  in
-  let worker i () =
-    let out = outs.(i) in
-    let start, len = slice_bounds total connections i in
-    let client =
-      Client.create
-        ~config:{ client_config with seed = Int64.add client_config.seed (Int64.of_int i) }
-        address
-    in
-    for pos = start to start + len - 1 do
-      let req = requests.(pos) in
-      let t0 = Unix.gettimeofday () in
-      (match
-         match req with
-         | Mix_range (entry, a, b) -> Client.estimate client ~entry ~a ~b
-         | Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
-           Client.estimate_rect client ~entry:m_entry ~x_lo:m_x_lo ~x_hi:m_x_hi
-             ~y_lo:m_y_lo ~y_hi:m_y_hi
-         | Mix_join { m_entry; m_pred } ->
-           Client.estimate_join client ~entry:m_entry ~pred:m_pred
-       with
-      | Ok x ->
-        answers.(pos) <- x;
-        out.w_ok <- out.w_ok + 1
-      | Error e -> record_error out (error_class e));
-      let dt = Unix.gettimeofday () -. t0 in
-      out.w_latencies <- dt :: out.w_latencies;
-      out.w_classed <- (mixed_kind req, dt) :: out.w_classed;
-      Telemetry.Metrics.incr m_queries;
-      Telemetry.Metrics.observe_s m_latency dt
-    done;
-    Client.close client
-  in
-  let t0 = Unix.gettimeofday () in
-  let threads = Array.init connections (fun i -> Thread.create (worker i) ()) in
-  Array.iter Thread.join threads;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let latencies =
-    Array.of_list (Array.fold_left (fun acc o -> List.rev_append o.w_latencies acc) [] outs)
-  in
-  Array.sort compare latencies;
-  let ok = Array.fold_left (fun n o -> n + o.w_ok) 0 outs in
-  let errors =
-    Array.fold_left
-      (fun acc o ->
-        List.fold_left
-          (fun acc (cls, n) ->
-            match List.assoc_opt cls acc with
-            | Some m -> (cls, m + n) :: List.remove_assoc cls acc
-            | None -> (cls, n) :: acc)
-          acc o.w_errors)
-      [] outs
-    |> List.sort compare
-  in
-  let ms x = 1000.0 *. x in
-  let sum = Array.fold_left ( +. ) 0.0 latencies in
-  let exchanges = Array.length latencies in
-  {
-    connections;
-    queries = total;
-    ok;
-    wall_s;
-    throughput_qps = (if wall_s > 0.0 then float_of_int total /. wall_s else 0.0);
-    mean_ms = (if exchanges > 0 then ms (sum /. float_of_int exchanges) else Float.nan);
-    p50_ms = ms (percentile latencies 0.50);
-    p95_ms = ms (percentile latencies 0.95);
-    p99_ms = ms (percentile latencies 0.99);
-    max_ms = (if exchanges > 0 then ms latencies.(exchanges - 1) else Float.nan);
-    errors;
-    answers;
-    groups = merge_groups outs;
-  }
+  closed_loop ~who:"Server.Loadgen.run_mixed" ~client_config
+    ~classify:(Some (fun pos -> mixed_kind requests.(pos)))
+    ~connections ~address ~total:(Array.length requests)
+    (fun client answers pos _stop out ->
+      record_answer out answers pos
+        (match requests.(pos) with
+        | Mix_range (entry, a, b) -> Client.estimate client ~entry ~a ~b
+        | Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
+          Client.estimate_rect client ~entry:m_entry ~x_lo:m_x_lo ~x_hi:m_x_hi ~y_lo:m_y_lo
+            ~y_hi:m_y_hi
+        | Mix_join { m_entry; m_pred } -> Client.estimate_join client ~entry:m_entry ~pred:m_pred);
+      1)
 
 let report_to_string r =
   let b = Buffer.create 256 in
@@ -411,7 +363,7 @@ let open_loop_drive ~who ~(client_config : Client.config) ~max_clients ~late_fac
           s_c = Condition.create ();
           s_task = None;
           s_stop = false;
-          s_out = { w_latencies = []; w_ok = 0; w_errors = []; w_classed = [] };
+          s_out = new_out ();
           s_late = 0;
           s_sent = 0;
         })
@@ -509,43 +461,23 @@ let open_loop_drive ~who ~(client_config : Client.config) ~max_clients ~late_fac
   Array.iter Thread.join threads;
   let wall_s = Unix.gettimeofday () -. t0 in
   let outs = Array.map (fun s -> s.s_out) slots in
-  let latencies =
-    Array.of_list (Array.fold_left (fun acc o -> List.rev_append o.w_latencies acc) [] outs)
-  in
-  Array.sort compare latencies;
-  let ok = Array.fold_left (fun n o -> n + o.w_ok) 0 outs in
+  let latencies = sorted_latencies outs in
   let sent = Array.fold_left (fun n s -> n + s.s_sent) 0 slots in
-  let late = Array.fold_left (fun n s -> n + s.s_late) 0 slots in
-  let errors =
-    Array.fold_left
-      (fun acc o ->
-        List.fold_left
-          (fun acc (cls, n) ->
-            match List.assoc_opt cls acc with
-            | Some m -> (cls, m + n) :: List.remove_assoc cls acc
-            | None -> (cls, n) :: acc)
-          acc o.w_errors)
-      [] outs
-    |> List.sort compare
-  in
-  let ms x = 1000.0 *. x in
-  let sum = Array.fold_left ( +. ) 0.0 latencies in
-  let exchanges = Array.length latencies in
   {
     rate_qps = rate;
     duration_s;
     offered = !offered;
     sent;
-    o_ok = ok;
+    o_ok = Array.fold_left (fun n o -> n + o.w_ok) 0 outs;
     dropped = !dropped;
-    late;
+    late = Array.fold_left (fun n s -> n + s.s_late) 0 slots;
     achieved_qps = (if wall_s > 0.0 then float_of_int sent /. wall_s else 0.0);
-    o_mean_ms = (if exchanges > 0 then ms (sum /. float_of_int exchanges) else Float.nan);
+    o_mean_ms = mean_ms latencies;
     o_p50_ms = ms (percentile latencies 0.50);
     o_p95_ms = ms (percentile latencies 0.95);
     o_p99_ms = ms (percentile latencies 0.99);
-    o_max_ms = (if exchanges > 0 then ms latencies.(exchanges - 1) else Float.nan);
-    o_errors = errors;
+    o_max_ms = max_ms latencies;
+    o_errors = merged_errors outs;
   }
 
 let run_open_loop ?(client_config = Client.default_config) ?(max_clients = 64)

@@ -301,13 +301,6 @@ let intern_string data pos len prev =
   if String.length prev = len && bytes_eq_string data pos prev 0 len then prev
   else Bytes.sub_string data pos len
 
-let get_string16_interned cur prev what =
-  let len = get_u16 cur what in
-  need cur len what;
-  let pos = cur.pos in
-  cur.pos <- pos + len;
-  intern_string cur.data pos len prev
-
 (* Counts are bounded by what could physically fit in a maximal frame, so
    a corrupt length cannot make the decoder allocate gigabytes. *)
 let get_count cur ~item_bytes what =
@@ -354,8 +347,8 @@ let check_consumed kind cur =
     raise
       (Malformed (Printf.sprintf "%d trailing bytes after %s" (cur.limit - cur.pos) kind))
 
-let decode kind payload parse_op =
-  let cur = { data = Bytes.unsafe_of_string payload; pos = 0; limit = String.length payload } in
+let decode_bytes kind data ~len parse_op =
+  let cur = { data; pos = 0; limit = len } in
   match
     check_version cur;
     let op = get_u8 cur "opcode" in
@@ -365,6 +358,9 @@ let decode kind payload parse_op =
   with
   | msg -> Ok msg
   | exception Malformed why -> Error why
+
+let decode kind payload parse_op =
+  decode_bytes kind (Bytes.unsafe_of_string payload) ~len:(String.length payload) parse_op
 
 let parse_request_op cur = function
   | 0x01 -> Ping
@@ -413,8 +409,9 @@ let decode_request payload = decode "request" payload parse_request_op
    runtime's float-record representation), the strings are interned
    against the previous frame's, and the result on the hot path is a
    preallocated constant — so a connection asking single estimates for
-   the same entry decodes with zero allocation.  Every other opcode
-   falls back to the allocating parser above, bit-for-bit. *)
+   the same entry decodes with zero allocation.  Every other frame,
+   malformed single estimates included, goes to [parse_request_op], so
+   each opcode has exactly one parser and one set of error messages. *)
 
 type qnums = { mutable sa : float; mutable sb : float }
 
@@ -439,77 +436,37 @@ let ok_fast_estimate : (incoming, string) result = Ok Fast_estimate
 external get_64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external swap_64 : int64 -> int64 = "%bswap_int64"
 
-(* Any frame the fast path below declines: every other opcode, and every
-   malformed single-estimate frame (so the error messages stay
-   bit-identical to [decode_request]'s).  Allocating the cursor record
-   here is fine — this path builds request values anyway. *)
-let decode_request_scratch_slow data ~len scratch =
-  let cur = { data; pos = 0; limit = len } in
-  match
-    check_version cur;
-    get_u8 cur "opcode"
-  with
-  | exception Malformed why -> Error why
-  | 0x03 -> (
-    match
-      scratch.s_entry <- get_string16_interned cur scratch.s_entry "entry name";
-      need cur 16 "bounds";
-      let bits_a = get_64u cur.data cur.pos in
-      scratch.s_q.sa <-
-        Int64.float_of_bits (if Sys.big_endian then bits_a else swap_64 bits_a);
-      let bits_b = get_64u cur.data (cur.pos + 8) in
-      scratch.s_q.sb <-
-        Int64.float_of_bits (if Sys.big_endian then bits_b else swap_64 bits_b);
-      cur.pos <- cur.pos + 16;
-      scratch.s_spec <- get_string16_interned cur scratch.s_spec "spec";
-      check_consumed "request" cur
-    with
-    | () -> ok_fast_estimate
-    | exception Malformed why -> Error why)
-  | op -> (
-    match
-      let msg = parse_request_op cur op in
-      check_consumed "request" cur;
-      msg
-    with
-    | msg -> Ok (Decoded msg)
-    | exception Malformed why -> Error why)
+let u16_at data pos =
+  (Char.code (Bytes.unsafe_get data pos) lsl 8) lor Char.code (Bytes.unsafe_get data (pos + 1))
 
-(* The hot path parses a well-formed single estimate with raw offsets —
-   even the 4-word cursor record would show up in the micro gate's
-   wire.decode row.  Every length is validated before the scratch is
-   touched; anything that doesn't check out falls back to the slow path
-   above, whose accept/reject behaviour is the reference. *)
+(* The hot path parses a single estimate with raw offsets — even the
+   4-word cursor record would show up in the micro gate's wire.decode
+   row.  Every length is validated before the scratch is touched, and
+   the checks accept exactly the well-formed estimate frames (version,
+   opcode, two length-prefixed strings around 16 bytes of bounds, no
+   trailing bytes).  Every other frame goes to [parse_request_op]; its
+   cursor record is fine there, as that path builds request values
+   anyway. *)
 let decode_request_scratch data ~len scratch =
+  let elen = if len >= 4 then u16_at data 2 else 0 in
   if
-    len >= 4
+    len >= 22 + elen
     && Bytes.unsafe_get data 0 = '\x03' (* the version byte *)
     && Bytes.unsafe_get data 1 = '\x03' (* the Estimate opcode *)
+    && len = 22 + elen + u16_at data (20 + elen) (* the spec ends the frame *)
   then begin
-    let elen =
-      (Char.code (Bytes.unsafe_get data 2) lsl 8) lor Char.code (Bytes.unsafe_get data 3)
-    in
-    if len >= 22 + elen then begin
-      let slen =
-        (Char.code (Bytes.unsafe_get data (20 + elen)) lsl 8)
-        lor Char.code (Bytes.unsafe_get data (21 + elen))
-      in
-      if len = 22 + elen + slen then begin
-        scratch.s_entry <- intern_string data 4 elen scratch.s_entry;
-        let bits_a = get_64u data (4 + elen) in
-        scratch.s_q.sa <-
-          Int64.float_of_bits (if Sys.big_endian then bits_a else swap_64 bits_a);
-        let bits_b = get_64u data (12 + elen) in
-        scratch.s_q.sb <-
-          Int64.float_of_bits (if Sys.big_endian then bits_b else swap_64 bits_b);
-        scratch.s_spec <- intern_string data (22 + elen) slen scratch.s_spec;
-        ok_fast_estimate
-      end
-      else decode_request_scratch_slow data ~len scratch
-    end
-    else decode_request_scratch_slow data ~len scratch
+    scratch.s_entry <- intern_string data 4 elen scratch.s_entry;
+    let bits_a = get_64u data (4 + elen) in
+    scratch.s_q.sa <- Int64.float_of_bits (if Sys.big_endian then bits_a else swap_64 bits_a);
+    let bits_b = get_64u data (12 + elen) in
+    scratch.s_q.sb <- Int64.float_of_bits (if Sys.big_endian then bits_b else swap_64 bits_b);
+    scratch.s_spec <- intern_string data (22 + elen) (len - 22 - elen) scratch.s_spec;
+    ok_fast_estimate
   end
-  else decode_request_scratch_slow data ~len scratch
+  else
+    match decode_bytes "request" data ~len parse_request_op with
+    | Ok req -> Ok (Decoded req)
+    | Error why -> Error why
 
 let decode_response payload =
   decode "response" payload (fun cur -> function

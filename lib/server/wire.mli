@@ -237,9 +237,11 @@ val decode_request_scratch :
 (** [decode_request_scratch buf ~len scratch] decodes the request in
     [buf.[0..len-1]] — {!decode_request} restructured so the hot opcode
     deposits into [scratch] (returning a preallocated [Ok Fast_estimate])
-    instead of building a request value.  Identical accept/reject
-    behaviour and field values to {!decode_request} on every input.
-    Never raises. *)
+    instead of building a request value.  On every input it agrees with
+    {!decode_request}: the same accept/reject decision, the same field
+    values, and on [Error] the same message, because every frame other
+    than a well-formed single estimate goes through {!decode_request}'s
+    own parser.  Never raises. *)
 
 val equal_request : request -> request -> bool
 (** Structural equality with floats compared by their IEEE-754 bits, so

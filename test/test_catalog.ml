@@ -1,6 +1,6 @@
 (* The catalog serving layer: LRU residency policy, atomic snapshot
-   persistence with skip-and-report recovery, staleness tracking, and the
-   batch query front end's jobs-independence. *)
+   persistence with skip-and-report recovery, staleness tracking, the
+   batch query front ends, and the shard hash. *)
 
 module Lru = Catalog.Lru
 module Snapshot = Catalog.Snapshot
@@ -242,13 +242,22 @@ let test_multikind_reopen () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "answer_one accepted a join entry"
 
-let test_answer_jobs_identical () =
+(* A query's answer depends on its own entry and bounds only, never on
+   what else shares its batch: the serving engine merges requests from
+   many connections into one call and relies on exactly this. *)
+let test_answer_batch_independent () =
   let dir = fresh_dir () in
   let svc, _ = Service.open_dir dir in
   build_two svc;
-  let seq = Service.answer ~jobs:1 svc requests in
-  let par = Service.answer ~jobs:4 svc requests in
-  check Alcotest.bool "jobs=1 vs jobs=4 bit-identical" true (seq = par);
+  let seq = Service.answer svc requests in
+  Array.iteri
+    (fun i req ->
+      check Alcotest.bool
+        (Printf.sprintf "request %d alone bit-identical to its batch slot" i)
+        true
+        (Int64.bits_of_float (Service.answer svc [| req |]).(0)
+        = Int64.bits_of_float seq.(i)))
+    requests;
   Alcotest.check_raises "unknown name raises"
     (Invalid_argument "Catalog.Service: unknown entry \"nope\"") (fun () ->
       ignore (Service.answer svc [| ("nope", 0.0, 1.0) |]));
@@ -537,6 +546,44 @@ let test_shard_of_name_stable () =
       check Alcotest.bool (name ^ " in range") true (s >= 0 && s < 5))
     [ "a"; ""; "orders/amount"; "weird name %2F" ]
 
+(* The shard hash as first written: a [String.iter] closure over a
+   boxed accumulator, folded with [Int64.unsigned_rem].  The served
+   version must place every name on the same shard (so snapshots do not
+   move) without allocating.  Placement at 2^61 shards is the hash's low
+   61 bits and placement at the odd 2^61 - 1 fixes it modulo a coprime
+   number, so agreeing at both means agreeing on the whole 64-bit hash,
+   which also seeds each entry's reservoir. *)
+let reference_shard ~shards name =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    name;
+  if shards = 1 then 0 else Int64.to_int (Int64.unsigned_rem !h (Int64.of_int shards))
+
+let test_shard_of_name_matches_reference () =
+  let rng = Random.State.make [| 20261018 |] in
+  for _ = 1 to 20_000 do
+    let name =
+      String.init (Random.State.int rng 40) (fun _ -> Char.chr (Random.State.int rng 256))
+    in
+    List.iter
+      (fun shards ->
+        let got = Service.shard_of_name ~shards name in
+        if got <> reference_shard ~shards name then
+          Alcotest.failf "shard_of_name ~shards:%d %S: %d, reference %d" shards name got
+            (reference_shard ~shards name))
+      [ 1 + Random.State.int rng 64; 1 lsl 61; (1 lsl 61) - 1 ]
+  done;
+  let name = "n(20)/kernel" in
+  ignore (Service.shard_of_name ~shards:2 name);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Service.shard_of_name ~shards:2 name))
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  if dw > 0.0 then
+    Alcotest.failf "shard_of_name ~shards:2 allocated %.0f minor words over 1000 calls" dw
+
 let test_sharded_migration_round_trip () =
   let dir = fresh_dir () in
   let svc, _ = Service.open_dir dir in
@@ -660,8 +707,8 @@ let () =
         [
           Alcotest.test_case "kill-and-reopen round trip" `Quick test_service_reopen;
           Alcotest.test_case "multi-kind entries survive reopen" `Quick test_multikind_reopen;
-          Alcotest.test_case "batch answers independent of jobs" `Quick
-            test_answer_jobs_identical;
+          Alcotest.test_case "batch answers independent of batch composition" `Quick
+            test_answer_batch_independent;
           Alcotest.test_case "answer_into: identity and zero allocation" `Quick
             test_answer_into;
           Alcotest.test_case "join_estimate: constant allocation per call" `Quick
@@ -690,5 +737,7 @@ let () =
             test_sharded_migration_round_trip;
           Alcotest.test_case "recovery messages name the shard" `Quick
             test_sharded_skip_reports_shard;
+          Alcotest.test_case "shard_of_name matches the reference hash, no allocation"
+            `Quick test_shard_of_name_matches_reference;
         ] );
     ]

@@ -46,13 +46,15 @@ let build_two svc =
           ~sample:sample_b))
 
 (* Run [f client address] against a freshly built two-entry catalog served
-   on a Unix socket; always drains the server afterwards. *)
-let with_server ?config f =
+   on a Unix socket, by [shards] shards (default 1); always drains the
+   server afterwards. *)
+let with_server ?config ?(shards = 1) f =
   let dir = fresh_dir () in
   let svc, _ = Service.open_dir dir in
   build_two svc;
+  let services = if shards = 1 then [| svc |] else fst (Service.open_sharded ~shards dir) in
   let address = Wire.Unix_socket (sock_path ()) in
-  let engine = Engine.create ?config ~services:[| svc |] address in
+  let engine = Engine.create ?config ~services address in
   let server = Thread.create Engine.serve engine in
   Fun.protect
     ~finally:(fun () ->
@@ -177,18 +179,6 @@ let qcheck_decode_total =
       ignore (Wire.decode_response s);
       true)
 
-let qcheck_truncation_is_error =
-  QCheck.Test.make ~count:200 ~name:"every strict prefix of an encoding is an Error"
-    request_arb (fun req ->
-      let payload = Wire.encode_request req in
-      let ok = ref true in
-      for len = 0 to String.length payload - 1 do
-        match Wire.decode_request (String.sub payload 0 len) with
-        | Error _ -> ()
-        | Ok _ -> ok := false
-      done;
-      !ok)
-
 (* The serving engine reads through [decode_request_scratch]; its
    contract is bit-for-bit agreement with [decode_request] on every
    input — same accept/reject decision, same field values, same error
@@ -206,6 +196,21 @@ let scratch_agrees payload =
   | Ok req, Ok (Wire.Decoded req') -> Wire.equal_request req req'
   | Error m, Error m' -> String.equal m m'
   | _ -> false
+
+(* Truncated frames are where the two decoders could drift apart: each
+   prefix must be rejected, by both, with the same message. *)
+let qcheck_truncation_is_error =
+  QCheck.Test.make ~count:200 ~name:"every strict prefix of an encoding is an Error"
+    request_arb (fun req ->
+      let payload = Wire.encode_request req in
+      let ok = ref true in
+      for len = 0 to String.length payload - 1 do
+        let prefix = String.sub payload 0 len in
+        match Wire.decode_request prefix with
+        | Error _ -> if not (scratch_agrees prefix) then ok := false
+        | Ok _ -> ok := false
+      done;
+      !ok)
 
 let qcheck_scratch_decode_agrees =
   QCheck.Test.make ~count:500 ~name:"scratch decode agrees with decode_request"
@@ -266,9 +271,23 @@ let test_wire_malformed_cases () =
   expect_error "truncated rect"
     "\x03\x08\x00\x01a\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00";
   (* Join frame with an out-of-range predicate code. *)
-  expect_error "unknown join predicate" "\x03\x09\x00\x01a\x07"
+  expect_error "unknown join predicate" "\x03\x09\x00\x01a\x07";
+  (* A well-formed estimate plus one byte: the scratch decoder's
+     raw-offset path must refuse it exactly as decode_request does. *)
+  let extended =
+    Wire.encode_request (Wire.Estimate { entry = "e"; a = 0.0; b = 1.0; spec = "" }) ^ "\x00"
+  in
+  expect_error "estimate with a trailing byte" extended;
+  check Alcotest.bool "scratch decoder agrees on the trailing byte" true (scratch_agrees extended)
 
 (* ---------------- Engine + Client ---------------- *)
+
+let expect_refusal code label = function
+  | Error (Client.Server (c, _)) when c = code -> ()
+  | Ok _ -> Alcotest.failf "%s: answered, expected %s" label (Wire.error_code_to_string code)
+  | Error e ->
+    Alcotest.failf "%s: expected %s, got %s" label (Wire.error_code_to_string code)
+      (Client.error_to_string e)
 
 let test_basic_requests () =
   with_server (fun client _address dir ->
@@ -324,10 +343,26 @@ let test_basic_requests () =
       | Error (Client.Server (Wire.Bad_request, _)) -> ()
       | Ok _ -> Alcotest.fail "insert accepted by a non-adaptive server"
       | Error e -> Alcotest.failf "expected bad_request, got %s" (Client.error_to_string e));
-      match Client.observe client ~entry:"users/age" ~a:0.0 ~b:30.0 ~actual:0.5 with
+      (match Client.observe client ~entry:"users/age" ~a:0.0 ~b:30.0 ~actual:0.5 with
       | Error (Client.Server (Wire.Bad_request, _)) -> ()
       | Ok _ -> Alcotest.fail "observe accepted by a non-adaptive server"
-      | Error e -> Alcotest.failf "expected bad_request, got %s" (Client.error_to_string e))
+      | Error e -> Alcotest.failf "expected bad_request, got %s" (Client.error_to_string e));
+      (* ...whatever the entry: a non-adaptive server checks adaptivity
+         before it looks the name up. *)
+      expect_refusal Wire.Bad_request "non-adaptive insert into an unknown entry"
+        (Client.insert client ~entry:"ghost" [| 30.0 |]);
+      expect_refusal Wire.Bad_request "non-adaptive observe of an unknown entry"
+        (Client.observe client ~entry:"ghost" ~a:0.0 ~b:30.0 ~actual:0.5));
+  (* A batch naming an unknown entry is refused whole, typed, whether
+     the frame stays on one shard or is split across two. *)
+  List.iter
+    (fun shards ->
+      with_server ~shards (fun client _address _dir ->
+          expect_refusal Wire.Unknown_entry
+            (Printf.sprintf "batch with an unknown entry at %d shard(s)" shards)
+            (Client.batch_estimate client
+               [| ("orders/amount", 3.0, 40.0); ("ghost", 0.0, 1.0); ("users/age", 0.0, 30.5) |])))
+    [ 1; 2 ]
 
 let test_tcp_round_trip () =
   let dir = fresh_dir () in
@@ -840,7 +875,9 @@ let test_adaptive_insert_observe_e2e () =
           (match Client.observe client ~entry:"users/age" ~a:0.0 ~b:1.0 ~actual:1.5 with
           | Error (Client.Server (Wire.Bad_request, _)) -> ()
           | Ok _ -> Alcotest.fail "out-of-range actual accepted"
-          | Error e -> Alcotest.failf "expected bad_request, got %s" (Client.error_to_string e))));
+          | Error e -> Alcotest.failf "expected bad_request, got %s" (Client.error_to_string e));
+          expect_refusal Wire.Unknown_entry "adaptive observe of an unknown entry"
+            (Client.observe client ~entry:"ghost" ~a:0.0 ~b:1.0 ~actual:0.5)));
   (* The drain above completing with adaptive maintenance enabled (and
      possibly a rebuild in flight) is itself the adaptive-drain
      assertion. *)
