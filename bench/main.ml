@@ -1577,23 +1577,33 @@ module Batch = Selest.Batch
    (so the regression is diffable) and then exits non-zero. *)
 let micro_gate_failed = ref false
 
-(* Nanoseconds per estimate of [f], which evaluates [ops] estimates per
-   call.  Repetitions double until the timed region exceeds ~80ms, so
-   cheap ops get enough reps to dominate clock granularity. *)
-let ns_per_op f ops =
+(* Nanoseconds per estimate over [reps] calls of [f], which evaluates
+   [ops] estimates per call. *)
+let ns_per_op f ~reps ops =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (reps * ops)
+
+(* Calls of [f] that fill ~80ms, doubling from one, so cheap ops get
+   enough reps to dominate clock granularity.  The first call warms:
+   it faults in lazy tables and brings the arrays into cache. *)
+let reps_for f =
   f ();
-  (* warm: faults in lazy tables and brings the arrays into cache *)
-  let reps = ref 1 and elapsed = ref 0.0 in
-  let continue = ref true in
-  while !continue do
+  let rec grow reps =
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to !reps do
+    for _ = 1 to reps do
       f ()
     done;
-    elapsed := Unix.gettimeofday () -. t0;
-    if !elapsed >= 0.08 || !reps >= 1 lsl 22 then continue := false else reps := !reps * 2
-  done;
-  !elapsed *. 1e9 /. float_of_int (!reps * ops)
+    if Unix.gettimeofday () -. t0 >= 0.08 || reps >= 1 lsl 22 then reps else grow (reps * 2)
+  in
+  grow 1
+
+(* Each op's scalar and batch paths are timed alternately this many
+   times, and the gate reads the median of the per-round speedups: a
+   single timing per path let one burst of host noise fail a floor. *)
+let micro_rounds = 5
 
 (* Minor-heap words per estimate: exact, not sampled — Gc.minor_words
    counts every word ever allocated on the minor heap. *)
@@ -1651,9 +1661,16 @@ let micro () =
     "scalar w/est" "batch w/est";
   let rows = ref [] in
   let row op scalar batch =
-    let scalar_ns = ns_per_op scalar n and batch_ns = ns_per_op batch n in
+    let scalar_reps = reps_for scalar and batch_reps = reps_for batch in
+    let rounds =
+      List.init micro_rounds (fun _ ->
+          let s = ns_per_op scalar ~reps:scalar_reps n in
+          (s, ns_per_op batch ~reps:batch_reps n))
+    in
+    let median f = Stats.Quantile.quantile (Array.of_list (List.map f rounds)) 0.5 in
+    let scalar_ns = median fst and batch_ns = median snd in
+    let speedup = median (fun (s, b) -> s /. b) in
     let scalar_words = words_per_op scalar n and batch_words = words_per_op batch n in
-    let speedup = scalar_ns /. batch_ns in
     Printf.printf "%-24s %12.1f %12.1f %8.2fx %12.2f %12.2f\n%!" op scalar_ns batch_ns
       speedup scalar_words batch_words;
     Record.note_micro ~op

@@ -996,6 +996,9 @@ let loadgen_cmd =
       or_die (Error "loadgen: --verify needs the closed loop's aligned answers; drop --rate")
     | Some _ when batch <> 1 -> or_die (Error "loadgen: --batch only applies to the closed loop")
     | _ -> ());
+    if verify = Some "" && not drift then
+      or_die
+        (Error "loadgen: --verify DIR needs the snapshot directory (a bare --verify is for --drift)");
     if duration_s <= 0.0 then or_die (Error "loadgen: --duration must be > 0");
     if max_clients < 1 then or_die (Error "loadgen: --max-clients must be >= 1");
     let address = address_of ~host ~socket ~port in

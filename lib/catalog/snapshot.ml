@@ -7,7 +7,10 @@ type entry = {
   summary : Selest.Stored.any;
 }
 
-let magic = "selest-catalog v1"
+(* v2 is what [save] writes; v1, the text format before it, is still
+   read, and each v1 file becomes v2 at its next save. *)
+let magic = "selest-catalog v2"
+let magic_v1 = "selest-catalog v1"
 let extension = ".summary"
 
 let file_name name =
@@ -56,6 +59,24 @@ let decode_file_name file =
 
 let path ~dir name = Filename.concat dir (file_name name)
 
+(* FNV-1a-64 over [s.[0, len)] read as little-endian 8-byte words (the
+   last one zero-padded), then over [len].  Each step is a bijection of
+   the state for a fixed word, so any one changed word, and hence any
+   one changed byte, changes the result. *)
+let checksum s ~len =
+  let prime = 0x100000001b3L in
+  let h = ref 0xcbf29ce484222325L and i = ref 0 in
+  while !i + 8 <= len do
+    h := Int64.mul (Int64.logxor !h (String.get_int64_le s !i)) prime;
+    i := !i + 8
+  done;
+  let tail = ref 0L in
+  for k = len - 1 downto !i do
+    tail := Int64.logor (Int64.shift_left !tail 8) (Int64.of_int (Char.code s.[k]))
+  done;
+  h := Int64.mul (Int64.logxor !h !tail) prime;
+  Int64.mul (Int64.logxor !h (Int64.of_int len)) prime
+
 let save ~dir entry =
   if String.contains entry.name '\n' then
     invalid_arg "Snapshot.save: entry name must not contain newlines";
@@ -65,17 +86,25 @@ let save ~dir entry =
   | Some p when String.contains p '\n' ->
     invalid_arg "Snapshot.save: provenance must not contain newlines"
   | _ -> ());
+  let payload = Selest.Stored.any_to_binary entry.summary in
+  let buf = Buffer.create (String.length payload + 256) in
+  Printf.bprintf buf "%s\nname %s\nspec %s\ninserts %d\nstale %d\n" magic entry.name
+    entry.spec entry.inserts
+    (if entry.stale then 1 else 0);
+  Option.iter (Printf.bprintf buf "provenance %s\n") entry.provenance;
+  Printf.bprintf buf "payload %s %d\n"
+    (Selest.Stored.kind_name (Selest.Stored.any_kind entry.summary))
+    (String.length payload);
+  Buffer.add_string buf payload;
+  let body = Buffer.contents buf in
   let final = path ~dir entry.name in
   let tmp = final ^ ".tmp" in
-  let oc = open_out tmp in
+  let oc = open_out_bin tmp in
   (try
-     Printf.fprintf oc "%s\nname %s\nspec %s\ninserts %d\nstale %d\n" magic entry.name
-       entry.spec entry.inserts
-       (if entry.stale then 1 else 0);
-     (match entry.provenance with
-     | Some p -> Printf.fprintf oc "provenance %s\n" p
-     | None -> ());
-     output_string oc (Selest.Stored.any_to_string entry.summary);
+     output_string oc body;
+     let sum = Bytes.create 8 in
+     Bytes.set_int64_le sum 0 (checksum body ~len:(String.length body));
+     output_bytes oc sum;
      close_out oc
    with e ->
      close_out_noerr oc;
@@ -93,10 +122,55 @@ let field key line =
 
 let ( let* ) = Result.bind
 
+(* A v2 payload: the [payload <kind> <bytes>] line at [pos], then
+   exactly that many bytes and the checksum of everything before it.
+   The length is checked against the file before the checksum is
+   computed or anything is decoded. *)
+let parse_payload contents pos line =
+  let len = String.length contents in
+  let* kind, bytes =
+    match Option.map (String.split_on_char ' ') (field "payload" line) with
+    | Some [ kind; n ] -> (
+      match (Selest.Stored.kind_of_name kind, int_of_string_opt n) with
+      | Ok kind, Some n when n >= 0 -> Ok (kind, n)
+      | _ -> Error "malformed payload line")
+    | _ -> Error "missing payload line"
+  in
+  if bytes > len - pos || len - pos - bytes <> 8 then
+    Error
+      (Printf.sprintf "payload of %d bytes at offset %d does not fit a %d-byte file" bytes
+         pos len)
+  else if
+    not
+      (Int64.equal
+         (checksum contents ~len:(pos + bytes))
+         (String.get_int64_le contents (pos + bytes)))
+  then Error "checksum mismatch"
+  else Selest.Stored.any_of_binary kind contents ~pos ~len:bytes
+
 let parse contents =
-  match String.split_on_char '\n' contents with
-  | m :: name_line :: spec_line :: inserts_line :: stale_line :: rest ->
-    if String.trim m <> magic then Error "missing selest-catalog v1 header"
+  let len = String.length contents in
+  let pos = ref 0 in
+  (* The next line as [String.split_on_char '\n'] would cut it: the text
+     up to the next newline, or to the end; [None] past the end. *)
+  let next () =
+    if !pos > len then None
+    else begin
+      let stop = Option.value (String.index_from_opt contents !pos '\n') ~default:len in
+      let line = String.sub contents !pos (stop - !pos) in
+      pos := stop + 1;
+      Some line
+    end
+  in
+  let m = next () in
+  let name_line = next () in
+  let spec_line = next () in
+  let inserts_line = next () in
+  let stale_line = next () in
+  match (m, name_line, spec_line, inserts_line, stale_line) with
+  | Some m, Some name_line, Some spec_line, Some inserts_line, Some stale_line ->
+    let version = String.trim m in
+    if version <> magic && version <> magic_v1 then Error "missing selest-catalog header"
     else
       let* name =
         Option.to_result ~none:"missing name line" (field "name" name_line)
@@ -119,23 +193,31 @@ let parse contents =
       in
       (* The provenance line is optional (introduced after the first v1
          files shipped): present iff the next line carries the key.  No
-         payload header starts with "provenance " — they all start with
-         "selest-stored" — so peeking is unambiguous, and pre-provenance
-         snapshots parse unchanged. *)
-      let provenance, rest =
-        match rest with
-        | line :: tail -> (
-          match field "provenance" line with
-          | Some p -> (Some p, tail)
-          | None -> (None, rest))
-        | [] -> (None, rest)
+         payload line starts with "provenance " — v2's start with
+         "payload ", v1's with "selest-stored" — so peeking is
+         unambiguous, and pre-provenance snapshots parse unchanged. *)
+      let provenance =
+        let before = !pos in
+        match Option.bind (next ()) (field "provenance") with
+        | Some p -> Some p
+        | None ->
+          pos := before;
+          None
       in
-      let* summary = Selest.Stored.any_of_string (String.concat "\n" rest) in
+      let* summary =
+        if version = magic_v1 then
+          Selest.Stored.any_of_string
+            (if !pos > len then "" else String.sub contents !pos (len - !pos))
+        else
+          match next () with
+          | Some line -> parse_payload contents !pos line
+          | None -> Error "missing payload line"
+      in
       let* () =
         (* A snapshot whose spec no longer parses cannot be rebuilt when it
            goes stale; treat it as corrupt now rather than at rebuild time.
-           The payload header decides which spec syntax applies, so the
-           summary is parsed first. *)
+           The payload decides which spec syntax applies, so the summary
+           is decoded first. *)
         let describe = function
           | Ok _ -> Ok ()
           | Error e -> Error (Printf.sprintf "unparseable spec %S: %s" spec e)
@@ -151,11 +233,7 @@ let parse contents =
 
 let load ~path =
   match
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    contents
+    In_channel.with_open_bin path (fun ic -> really_input_string ic (in_channel_length ic))
   with
   | exception Sys_error msg -> Error msg
   | exception End_of_file -> Error "truncated file"

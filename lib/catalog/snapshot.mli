@@ -1,17 +1,25 @@
 (** On-disk snapshots of catalog entries.
 
-    Every catalog entry persists as one text file inside the catalog
-    directory: a versioned [selest-catalog v1] header (name, build spec,
-    staleness state) followed by the [Selest.Stored.any] payload, whose
-    own header line says whether the entry is a range, rect or join
-    summary.  The full format, with a worked example, is documented in
+    Every catalog entry persists as one file inside the catalog
+    directory: text header lines (the [selest-catalog v2] magic, name,
+    build spec, staleness state, an optional provenance line, and a
+    [payload <kind> <bytes>] line) followed by the summary as raw
+    little-endian IEEE-754 words ([Selest.Stored.any_to_binary]) and an
+    8-byte checksum of every byte before it.  Loading one decodes the
+    summary in a single pass over the bytes, with no float parsing.
+    Files in the legacy text format [selest-catalog v1] still load, and
+    {!save} rewrites each one as v2 the next time its entry persists.
+    The full format, with a worked example, is documented in
     [docs/CATALOG.md].
 
-    Writes are atomic: the file is written to a [.tmp] sibling and
-    renamed into place, so a crash mid-write leaves either the previous
-    snapshot or none — never a torn file.  Reads are total: any malformed
-    file yields [Error], and {!load_dir} skips (and reports) such files
-    instead of failing the whole catalog. *)
+    Writes go to a [.tmp] sibling that is then renamed into place.  The
+    rename is atomic against a crash of the writing process: a reopen
+    sees the previous snapshot or the new one, never a mix.  {!save} does
+    not fsync, so after a power loss or kernel crash a file can still be
+    torn or hold stale blocks; a v2 file's declared payload length and
+    checksum then make {!load} return [Error] and {!load_dir} skip and
+    report the file, rather than misread it.  Reads are total: any
+    malformed file yields [Error], never an exception. *)
 
 type entry = {
   name : string;  (** catalog entry name; must not contain newlines *)
@@ -28,9 +36,9 @@ type entry = {
           from (e.g. the advisor's recommendation string behind
           [catalog build --spec auto]); must not contain newlines.
           Written as an optional [provenance] header line, so snapshots
-          without one — including every pre-provenance file — still
-          parse, and files saved with [None] are byte-identical to the
-          original v1 format *)
+          without one — including every v1 file written before the line
+          existed — still parse, and a file saved with [None] simply has
+          no such line *)
   summary : Selest.Stored.any;
       (** the serving payload; its own header line names the kind *)
 }
@@ -55,14 +63,20 @@ val path : dir:string -> string -> string
 (** [path ~dir name] is the snapshot path of [name] inside [dir]. *)
 
 val save : dir:string -> entry -> unit
-(** Atomically write (or replace) the entry's snapshot.
-    @raise Invalid_argument if the name or spec contains a newline.
+(** Write (or replace) the entry's snapshot, always in the v2 format,
+    through a temp file and a rename (see the module doc for what that
+    does and does not promise).
+    @raise Invalid_argument if the name, spec or provenance contains a
+    newline.
     @raise Sys_error on I/O failure. *)
 
 val load : path:string -> (entry, string) result
-(** Parse one snapshot file.  [Error] describes the first malformed field
-    (unreadable file, wrong magic, bad header, unparseable spec, corrupt
-    [Stored] payload) and never raises on malformed content. *)
+(** Read one snapshot file, v2 or legacy v1.  [Error] describes the first
+    problem found (unreadable file, wrong magic, bad header line, a
+    payload length that does not match the file, checksum mismatch,
+    summary fields the kind's validator rejects, unparseable spec) and
+    it never raises on malformed content.  Any truncation or any single
+    changed byte of a v2 file is an [Error]. *)
 
 val tmp_extension : string
 (** [".summary.tmp"] — the suffix of in-flight {!save} temp files; one

@@ -101,49 +101,75 @@ let to_string t =
 
 let magic_range = "selest-stored v1"
 
+(* Monomorphic scans: a polymorphic [Array.exists] would box every
+   element it reads. *)
+let all_finite (a : float array) =
+  let ok = ref true in
+  for i = 0 to Array.length a - 1 do
+    if not (Float.is_finite (Array.unsafe_get a i)) then ok := false
+  done;
+  !ok
+
+let all_nonneg_finite (a : float array) =
+  let ok = ref true in
+  for i = 0 to Array.length a - 1 do
+    let v = Array.unsafe_get a i in
+    if not (v >= 0.0 && Float.is_finite v) then ok := false
+  done;
+  !ok
+
+(* What makes a range summary valid, checked in one place: the text and
+   binary decoders both build through here, so they cannot disagree on
+   which field values they accept. *)
+let range_checked who ~lo ~hi weights =
+  if not (lo < hi) then Error (who ^ ": malformed domain bounds")
+  else if Array.length weights = 0 then Error (who ^ ": malformed cell count")
+  else if not (all_nonneg_finite weights) then
+    Error (who ^ ": weights must be non-negative and finite")
+  else Ok (make ~lo ~hi weights)
+
+(* Line-level helpers for the text parsers: every parse is total —
+   malformed input maps to [Error], never an exception. *)
+let parse_pair who ~key of_string line =
+  match String.split_on_char ' ' (String.trim line) with
+  | [ k; a; b ] when k = key -> (
+    match (of_string a, of_string b) with
+    | Some x, Some y -> Ok (x, y)
+    | _ -> Error (Printf.sprintf "%s: malformed %s line" who key))
+  | _ -> Error (Printf.sprintf "%s: missing %s line" who key)
+
+let parse_floats who rest =
+  let values =
+    List.filter_map
+      (fun line ->
+        let line = String.trim line in
+        if line = "" then None else Some (float_of_string_opt line))
+      rest
+  in
+  if List.exists (fun v -> v = None) values then
+    Error (Printf.sprintf "%s: malformed value" who)
+  else Ok (Array.of_list (List.filter_map Fun.id values))
+
+let ( let* ) = Result.bind
+
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | magic :: domain_line :: cells_line :: rest when String.trim magic = magic_range -> (
-    let parse_domain () =
-      match String.split_on_char ' ' (String.trim domain_line) with
-      | [ "domain"; a; b ] -> (
-        match (float_of_string_opt a, float_of_string_opt b) with
-        | Some lo, Some hi when lo < hi -> Ok (lo, hi)
-        | _ -> Error "Stored.of_string: malformed domain bounds")
-      | _ -> Error "Stored.of_string: missing domain line"
-    in
-    let parse_cells () =
+  let who = "Stored.of_string" in
+  match String.split_on_char '\n' s with
+  | magic :: domain_line :: cells_line :: rest when String.trim magic = magic_range ->
+    let* lo, hi = parse_pair who ~key:"domain" float_of_string_opt domain_line in
+    let* k =
       match String.split_on_char ' ' (String.trim cells_line) with
       | [ "cells"; n ] -> (
         match int_of_string_opt n with
-        | Some k when k > 0 -> Ok k
-        | _ -> Error "Stored.of_string: malformed cell count")
-      | _ -> Error "Stored.of_string: missing cells line"
+        | Some k when k >= 0 -> Ok k
+        | _ -> Error (who ^ ": malformed cell count"))
+      | _ -> Error (who ^ ": missing cells line")
     in
-    match (parse_domain (), parse_cells ()) with
-    | Error e, _ | _, Error e -> Error e
-    | Ok (lo, hi), Ok k -> (
-      let values =
-        List.filter_map
-          (fun line ->
-            let line = String.trim line in
-            if line = "" then None else Some (float_of_string_opt line))
-          rest
-      in
-      if List.exists (fun v -> v = None) values then
-        Error "Stored.of_string: malformed weight"
-      else begin
-        let weights = Array.of_list (List.filter_map Fun.id values) in
-        if Array.length weights <> k then
-          Error
-            (Printf.sprintf "Stored.of_string: expected %d weights, found %d" k
-               (Array.length weights))
-        else if Array.exists (fun v -> v < 0.0 || not (Float.is_finite v)) weights then
-          Error "Stored.of_string: weights must be non-negative and finite"
-        else Ok (make ~lo ~hi weights)
-      end))
-  | _ -> Error "Stored.of_string: missing header"
+    let* weights = parse_floats who rest in
+    if Array.length weights <> k then
+      Error (Printf.sprintf "%s: expected %d weights, found %d" who k (Array.length weights))
+    else range_checked who ~lo ~hi weights
+  | _ -> Error (who ^ ": missing header")
 
 (* ---------------- rectangle (2-D grid) summaries ---------------- *)
 
@@ -179,24 +205,36 @@ let canonical_rect ~x_lo ~x_hi ~y_lo ~y_hi =
     else Some (ix_lo -. 0.5, ix_hi +. 0.5, iy_lo -. 0.5, iy_hi +. 0.5)
   end
 
-let rect_of_counts_exn who ~domain_x:(x_lo, x_hi) ~domain_y:(y_lo, y_hi) ~bins_x ~bins_y
-    ~counts ~total =
-  if x_lo >= x_hi || y_lo >= y_hi then invalid_arg (who ^ ": empty domain");
-  if bins_x <= 0 || bins_y <= 0 then invalid_arg (who ^ ": bins must be positive");
-  if Array.length counts <> bins_x * bins_y then
-    invalid_arg (who ^ ": counts length must be bins_x * bins_y");
-  if total <= 0.0 || not (Float.is_finite total) then
-    invalid_arg (who ^ ": total must be positive and finite");
-  {
-    rx_lo = x_lo;
-    ry_lo = y_lo;
-    rwx = (x_hi -. x_lo) /. float_of_int bins_x;
-    rwy = (y_hi -. y_lo) /. float_of_int bins_y;
-    rbins_x = bins_x;
-    rbins_y = bins_y;
-    rcounts = counts;
-    rtotal = total;
-  }
+(* What makes a rect summary valid, over the fields answers read (the
+   text decoder derives the cell widths from its domain lines first).
+   The counts-length test is division-based so huge bin counts cannot
+   overflow their product into a match. *)
+let rect_checked who ~x_lo ~y_lo ~wx ~wy ~bins_x ~bins_y ~total counts =
+  let n = Array.length counts in
+  let axis_ok lo w bins =
+    Float.is_finite lo && w > 0.0 && Float.is_finite (lo +. (w *. float_of_int bins))
+  in
+  if bins_x <= 0 || bins_y <= 0 then Error (who ^ ": bins must be positive")
+  else if not (bins_x <= n && n mod bins_x = 0 && n / bins_x = bins_y) then
+    Error (Printf.sprintf "%s: expected %d x %d counts, found %d" who bins_x bins_y n)
+  else if not (axis_ok x_lo wx bins_x) then Error (who ^ ": malformed domain_x bounds")
+  else if not (axis_ok y_lo wy bins_y) then Error (who ^ ": malformed domain_y bounds")
+  else if not (total > 0.0 && Float.is_finite total) then
+    Error (who ^ ": total must be positive and finite")
+  else if not (all_nonneg_finite counts) then
+    Error (who ^ ": counts must be non-negative and finite")
+  else
+    Ok
+      {
+        rx_lo = x_lo;
+        ry_lo = y_lo;
+        rwx = wx;
+        rwy = wy;
+        rbins_x = bins_x;
+        rbins_y = bins_y;
+        rcounts = counts;
+        rtotal = total;
+      }
 
 let rect_of_points ~domain_x:(x_lo, x_hi) ~domain_y:(y_lo, y_hi) ~bins_x ~bins_y points =
   if x_lo >= x_hi || y_lo >= y_hi then invalid_arg "Stored.rect_of_points: empty domain";
@@ -321,68 +359,31 @@ let rect_to_string r =
   Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf "%.17g\n" v)) r.rcounts;
   Buffer.contents buf
 
-(* Shared line-level helpers for the rect/join parsers: every parse is
-   total — malformed input maps to [Error], never an exception. *)
-let parse_float_pair who ~key line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ k; a; b ] when k = key -> (
-    match (float_of_string_opt a, float_of_string_opt b) with
-    | Some x, Some y -> Ok (x, y)
-    | _ -> Error (Printf.sprintf "%s: malformed %s line" who key))
-  | _ -> Error (Printf.sprintf "%s: missing %s line" who key)
-
-let parse_floats who rest =
-  let values =
-    List.filter_map
-      (fun line ->
-        let line = String.trim line in
-        if line = "" then None else Some (float_of_string_opt line))
-      rest
-  in
-  if List.exists (fun v -> v = None) values then
-    Error (Printf.sprintf "%s: malformed value" who)
-  else Ok (Array.of_list (List.filter_map Fun.id values))
-
+(* The text form stores each axis's domain ends, so the cell widths are
+   re-derived as [(hi - lo) / bins], which can land one ulp away from
+   the widths the summary was built with.  The binary form
+   ({!any_to_binary}) stores the widths themselves. *)
 let rect_of_string s =
   let who = "Stored.rect_of_string" in
   match String.split_on_char '\n' s with
   | magic :: dx :: dy :: bins_line :: total_line :: rest when String.trim magic = magic_rect
-    -> (
-    let ( let* ) = Result.bind in
-    let* x_lo, x_hi = parse_float_pair who ~key:"domain_x" dx in
-    let* y_lo, y_hi = parse_float_pair who ~key:"domain_y" dy in
-    let* bins_x, bins_y =
-      match String.split_on_char ' ' (String.trim bins_line) with
-      | [ "bins"; a; b ] -> (
-        match (int_of_string_opt a, int_of_string_opt b) with
-        | Some i, Some j when i > 0 && j > 0 -> Ok (i, j)
-        | _ -> Error (who ^ ": malformed bins line"))
-      | _ -> Error (who ^ ": missing bins line")
-    in
+    ->
+    let* x_lo, x_hi = parse_pair who ~key:"domain_x" float_of_string_opt dx in
+    let* y_lo, y_hi = parse_pair who ~key:"domain_y" float_of_string_opt dy in
+    let* bins_x, bins_y = parse_pair who ~key:"bins" int_of_string_opt bins_line in
     let* total =
       match String.split_on_char ' ' (String.trim total_line) with
       | [ "total"; v ] -> (
         match float_of_string_opt v with
-        | Some t when t > 0.0 && Float.is_finite t -> Ok t
-        | _ -> Error (who ^ ": malformed total line"))
+        | Some t -> Ok t
+        | None -> Error (who ^ ": malformed total line"))
       | _ -> Error (who ^ ": missing total line")
     in
-    if not (Float.is_finite x_lo && Float.is_finite x_hi && x_lo < x_hi) then
-      Error (who ^ ": malformed domain_x bounds")
-    else if not (Float.is_finite y_lo && Float.is_finite y_hi && y_lo < y_hi) then
-      Error (who ^ ": malformed domain_y bounds")
-    else
-      let* counts = parse_floats who rest in
-      if Array.length counts <> bins_x * bins_y then
-        Error
-          (Printf.sprintf "%s: expected %d counts, found %d" who (bins_x * bins_y)
-             (Array.length counts))
-      else if Array.exists (fun v -> v < 0.0 || not (Float.is_finite v)) counts then
-        Error (who ^ ": counts must be non-negative and finite")
-      else
-        Ok
-          (rect_of_counts_exn who ~domain_x:(x_lo, x_hi) ~domain_y:(y_lo, y_hi) ~bins_x
-             ~bins_y ~counts ~total))
+    let* counts = parse_floats who rest in
+    rect_checked who ~x_lo ~y_lo
+      ~wx:((x_hi -. x_lo) /. float_of_int bins_x)
+      ~wy:((y_hi -. y_lo) /. float_of_int bins_y)
+      ~bins_x ~bins_y ~total counts
   | _ -> Error (who ^ ": missing header")
 
 (* ---------------- join summaries ---------------- *)
@@ -583,83 +584,77 @@ let join_to_string j =
   section "sample_s" j.j_sample_s;
   Buffer.contents buf
 
+(* What makes a join summary valid: a finite domain, positive relation
+   sizes, two histograms whose strictly ascending bounds run from [lo]
+   to [hi] with one non-negative finite mass per bucket, and non-empty
+   finite samples. *)
+let join_checked who ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s ~sample_r
+    ~sample_s =
+  let ascending (a : float array) =
+    let ok = ref (Array.length a >= 2) in
+    for i = 0 to Array.length a - 2 do
+      if not (a.(i) < a.(i + 1)) then ok := false
+    done;
+    !ok && all_finite a
+  in
+  let valid_hist bounds mass =
+    ascending bounds
+    && Array.length mass = Array.length bounds - 1
+    && all_nonneg_finite mass
+    && bounds.(0) = lo
+    && bounds.(Array.length bounds - 1) = hi
+  in
+  if not (Float.is_finite lo && Float.is_finite hi && lo < hi) then
+    Error (who ^ ": malformed domain bounds")
+  else if n_r <= 0 || n_s <= 0 then Error (who ^ ": relation sizes must be positive")
+  else if not (valid_hist bounds_r mass_r) then Error (who ^ ": malformed R histogram")
+  else if not (valid_hist bounds_s mass_s) then Error (who ^ ": malformed S histogram")
+  else if
+    Array.length sample_r = 0 || Array.length sample_s = 0
+    || (not (all_finite sample_r))
+    || not (all_finite sample_s)
+  then Error (who ^ ": malformed samples")
+  else
+    Ok (make_join ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s ~sample_r ~sample_s)
+
 let join_of_string s =
   let who = "Stored.join_of_string" in
   match String.split_on_char '\n' s with
-  | magic :: domain_line :: sizes_line :: rest when String.trim magic = magic_join -> (
-    let ( let* ) = Result.bind in
-    let* lo, hi = parse_float_pair who ~key:"domain" domain_line in
-    let* n_r, n_s =
-      match String.split_on_char ' ' (String.trim sizes_line) with
-      | [ "sizes"; a; b ] -> (
-        match (int_of_string_opt a, int_of_string_opt b) with
-        | Some r, Some s when r > 0 && s > 0 -> Ok (r, s)
-        | _ -> Error (who ^ ": malformed sizes line"))
-      | _ -> Error (who ^ ": missing sizes line")
+  | magic :: domain_line :: sizes_line :: rest when String.trim magic = magic_join ->
+    let* lo, hi = parse_pair who ~key:"domain" float_of_string_opt domain_line in
+    let* n_r, n_s = parse_pair who ~key:"sizes" int_of_string_opt sizes_line in
+    (* Each section is "name <count>" followed by that many values. *)
+    let section name lines =
+      match lines with
+      | header :: rest -> (
+        match String.split_on_char ' ' (String.trim header) with
+        | [ n; c ] when n = name -> (
+          match int_of_string_opt c with
+          | Some count when count >= 0 ->
+            let rec take acc k = function
+              | rest when k = 0 -> Ok (List.rev acc, rest)
+              | [] -> Error (Printf.sprintf "%s: truncated %s section" who name)
+              | line :: rest -> (
+                match float_of_string_opt (String.trim line) with
+                | Some v -> take (v :: acc) (k - 1) rest
+                | None -> Error (Printf.sprintf "%s: malformed %s value" who name))
+            in
+            Result.map (fun (vs, rest) -> (Array.of_list vs, rest)) (take [] count rest)
+          | _ -> Error (Printf.sprintf "%s: malformed %s count" who name))
+        | _ -> Error (Printf.sprintf "%s: missing %s section" who name))
+      | [] -> Error (Printf.sprintf "%s: missing %s section" who name)
     in
-    if not (Float.is_finite lo && Float.is_finite hi && lo < hi) then
-      Error (who ^ ": malformed domain bounds")
-    else begin
-      (* Each section is "name <count>" followed by that many values. *)
-      let section name lines =
-        match lines with
-        | header :: rest -> (
-          match String.split_on_char ' ' (String.trim header) with
-          | [ n; c ] when n = name -> (
-            match int_of_string_opt c with
-            | Some count when count >= 0 ->
-              let rec take acc k = function
-                | rest when k = 0 -> Ok (List.rev acc, rest)
-                | [] -> Error (Printf.sprintf "%s: truncated %s section" who name)
-                | line :: rest -> (
-                  match float_of_string_opt (String.trim line) with
-                  | Some v -> take (v :: acc) (k - 1) rest
-                  | None -> Error (Printf.sprintf "%s: malformed %s value" who name))
-              in
-              Result.map
-                (fun (vs, rest) -> (Array.of_list vs, rest))
-                (take [] count rest)
-            | _ -> Error (Printf.sprintf "%s: malformed %s count" who name))
-          | _ -> Error (Printf.sprintf "%s: missing %s section" who name))
-        | [] -> Error (Printf.sprintf "%s: missing %s section" who name)
-      in
-      let* bounds_r, rest = section "bounds_r" rest in
-      let* mass_r, rest = section "mass_r" rest in
-      let* bounds_s, rest = section "bounds_s" rest in
-      let* mass_s, rest = section "mass_s" rest in
-      let* sample_r, rest = section "sample_r" rest in
-      let* sample_s, rest = section "sample_s" rest in
-      let* () =
-        if List.exists (fun l -> String.trim l <> "") rest then
-          Error (who ^ ": trailing garbage after sections")
-        else Ok ()
-      in
-      let ascending a =
-        let ok = ref (Array.length a >= 2) in
-        for i = 0 to Array.length a - 2 do
-          if not (a.(i) < a.(i + 1)) then ok := false
-        done;
-        !ok && Array.for_all Float.is_finite a
-      in
-      let valid_hist bounds mass =
-        ascending bounds
-        && Array.length mass = Array.length bounds - 1
-        && Array.for_all (fun v -> v >= 0.0 && Float.is_finite v) mass
-        && bounds.(0) = lo
-        && bounds.(Array.length bounds - 1) = hi
-      in
-      if not (valid_hist bounds_r mass_r) then Error (who ^ ": malformed R histogram")
-      else if not (valid_hist bounds_s mass_s) then Error (who ^ ": malformed S histogram")
-      else if
-        Array.length sample_r = 0 || Array.length sample_s = 0
-        || not (Array.for_all Float.is_finite sample_r)
-        || not (Array.for_all Float.is_finite sample_s)
-      then Error (who ^ ": malformed samples")
-      else
-        Ok
-          (make_join ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s ~sample_r
-             ~sample_s)
-    end)
+    let* bounds_r, rest = section "bounds_r" rest in
+    let* mass_r, rest = section "mass_r" rest in
+    let* bounds_s, rest = section "bounds_s" rest in
+    let* mass_s, rest = section "mass_s" rest in
+    let* sample_r, rest = section "sample_r" rest in
+    let* sample_s, rest = section "sample_s" rest in
+    if List.exists (fun l -> String.trim l <> "") rest then
+      Error (who ^ ": trailing garbage after sections")
+    else
+      join_checked who ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s ~sample_r
+        ~sample_s
   | _ -> Error (who ^ ": missing header")
 
 (* ---------------- kind-dispatched summaries ---------------- *)
@@ -695,6 +690,139 @@ let any_to_string = function
   | Range t -> to_string t
   | Rect r -> rect_to_string r
   | Join j -> join_to_string j
+
+(* Binary payloads: every field is one little-endian 8-byte word, a
+   float as its IEEE-754 binary64 bits and a count as an int64, so the
+   bits the summary answers from travel unchanged.  Range: lo, hi, the
+   weights.  Rect: x_lo, y_lo, the two cell widths, bins_x, bins_y,
+   total, the counts.  Join: lo, hi, n_r, n_s, then bounds_r, mass_r,
+   bounds_s, mass_s, sample_r and sample_s, each prefixed by its length.
+   The derived prefix and suffix arrays are rebuilt on decode, as the
+   text decoders rebuild them. *)
+let any_to_binary summary =
+  let words =
+    match summary with
+    | Range t -> 2 + Array.length t.weights
+    | Rect r -> 7 + Array.length r.rcounts
+    | Join j ->
+      10 + Array.length j.j_bounds_r + Array.length j.j_mass_r + Array.length j.j_bounds_s
+      + Array.length j.j_mass_s + Array.length j.j_sample_r + Array.length j.j_sample_s
+  in
+  let b = Bytes.create (8 * words) and at = ref 0 in
+  let int64 w =
+    Bytes.set_int64_le b !at w;
+    at := !at + 8
+  in
+  let float v = int64 (Int64.bits_of_float v) and int n = int64 (Int64.of_int n) in
+  let floats a = Array.iter float a in
+  let counted a =
+    int (Array.length a);
+    floats a
+  in
+  (match summary with
+  | Range t ->
+    float t.lo;
+    float t.hi;
+    floats t.weights
+  | Rect r ->
+    float r.rx_lo;
+    float r.ry_lo;
+    float r.rwx;
+    float r.rwy;
+    int r.rbins_x;
+    int r.rbins_y;
+    float r.rtotal;
+    floats r.rcounts
+  | Join j ->
+    float j.j_lo;
+    float j.j_hi;
+    int j.j_n_r;
+    int j.j_n_s;
+    List.iter counted
+      [ j.j_bounds_r; j.j_mass_r; j.j_bounds_s; j.j_mass_s; j.j_sample_r; j.j_sample_s ]);
+  Bytes.unsafe_to_string b
+
+exception Bad_payload of string
+
+(* One pass over [s.[pos, pos + len)].  Every length prefix is checked
+   against the words left before its array is allocated, so a corrupt
+   count is an [Error], never a huge allocation; the payload's own
+   length bounds every other array. *)
+let any_of_binary kind s ~pos ~len =
+  let who = "Stored.any_of_binary" in
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    Error (who ^ ": payload out of bounds")
+  else if len mod 8 <> 0 then Error (who ^ ": payload is not a whole number of words")
+  else begin
+    let stop = pos + len and at = ref pos in
+    let words_left () = (stop - !at) / 8 in
+    let word () =
+      if !at >= stop then raise (Bad_payload (who ^ ": truncated payload"));
+      let w = String.get_int64_le s !at in
+      at := !at + 8;
+      w
+    in
+    let float () = Int64.float_of_bits (word ()) in
+    let int () =
+      let w = word () in
+      if
+        Int64.compare w (Int64.of_int min_int) < 0
+        || Int64.compare w (Int64.of_int max_int) > 0
+      then raise (Bad_payload (who ^ ": integer field out of range"));
+      Int64.to_int w
+    in
+    let floats n =
+      let a = Array.create_float n in
+      let base = !at in
+      for i = 0 to n - 1 do
+        Array.unsafe_set a i (Int64.float_of_bits (String.get_int64_le s (base + (8 * i))))
+      done;
+      at := base + (8 * n);
+      a
+    in
+    let counted () =
+      let n = int () in
+      if n < 0 || n > words_left () then
+        raise (Bad_payload (Printf.sprintf "%s: array length %d exceeds the payload" who n));
+      floats n
+    in
+    try
+      match kind with
+      | Range_kind ->
+        let lo = float () in
+        let hi = float () in
+        Result.map (fun t -> Range t) (range_checked who ~lo ~hi (floats (words_left ())))
+      | Rect_kind ->
+        let x_lo = float () in
+        let y_lo = float () in
+        let wx = float () in
+        let wy = float () in
+        let bins_x = int () in
+        let bins_y = int () in
+        let total = float () in
+        Result.map
+          (fun r -> Rect r)
+          (rect_checked who ~x_lo ~y_lo ~wx ~wy ~bins_x ~bins_y ~total
+             (floats (words_left ())))
+      | Join_kind ->
+        let lo = float () in
+        let hi = float () in
+        let n_r = int () in
+        let n_s = int () in
+        let bounds_r = counted () in
+        let mass_r = counted () in
+        let bounds_s = counted () in
+        let mass_s = counted () in
+        let sample_r = counted () in
+        let sample_s = counted () in
+        if words_left () > 0 then Error (who ^ ": trailing bytes after the join arrays")
+        else
+          Result.map
+            (fun j -> Join j)
+            (join_checked who ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s
+               ~sample_r ~sample_s)
+    with Bad_payload msg -> Error msg
+  end
 
 (* Compact spec syntax for the non-range kinds, mirroring
    [Estimator.spec_of_string]'s role for range entries: the catalog

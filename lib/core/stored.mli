@@ -5,8 +5,13 @@
     the system catalog.  This module is that reduction: any fitted
     {!Estimator.t} is probed once per cell of an equal-width grid, the
     per-cell masses are stored, and the summary answers range queries
-    under the uniform-within-cell assumption — with a textual
-    serialization for persistence.
+    under the uniform-within-cell assumption.  Each kind has two
+    serializations: a binary one ({!any_to_binary}, raw IEEE-754 bits,
+    decoded in one pass) that catalog snapshots persist, and a textual
+    one ({!to_string}, one field per line) that [selest_cli analyze] and
+    [lookup] exchange and that legacy [selest-catalog v1] snapshots
+    embed.  Both decoders build through one validator per kind, so they
+    accept and reject the same field values.
 
     The cell masses are exact cell selectivities of the source estimator
     (probed via {!Estimator.selectivity}, not by sampling the density), so
@@ -130,10 +135,15 @@ val rect_density : rect -> float -> float -> float
 (** Cell mass over [total * cell area]; 0 outside the grid. *)
 
 val rect_to_string : rect -> string
-(** Textual serialization (["selest-stored-rect v1"] header). *)
+(** Textual serialization (["selest-stored-rect v1"] header).  It records
+    each axis's domain ends, not the cell widths. *)
 
 val rect_of_string : string -> (rect, string) result
-(** Inverse of {!rect_to_string}; total on malformed input. *)
+(** Inverse of {!rect_to_string}; total on malformed input.  The cell
+    widths are re-derived as [(hi - lo) / bins], which can differ by one
+    ulp from the widths the summary was built with, so answers may
+    differ in the last bits; {!any_to_binary} stores the widths and has
+    no such drift. *)
 
 val rect_spec_of_string : string -> (int * int, string) result
 (** Parse the compact rect spec syntax the catalog stores:
@@ -237,3 +247,25 @@ val any_to_string : any -> string
 val any_of_string : string -> (any, string) result
 (** Parse any of the three summary serializations by header line; total
     on malformed input. *)
+
+val any_to_binary : any -> string
+(** The binary payload catalog snapshots persist: every field one
+    little-endian 8-byte word, floats as their IEEE-754 binary64 bits and
+    counts as int64, so a decoded summary answers bit for bit like the
+    one encoded — rect cell widths included, which the text form can
+    only re-derive from the domain ends.  The kind is not recorded; the
+    caller keeps it beside the payload.  Layout, per kind: range [lo],
+    [hi], the weights; rect [x_lo], [y_lo], the two cell widths,
+    [bins_x], [bins_y], [total], the counts (row-major); join [lo], [hi],
+    [n_r], [n_s], then [bounds_r], [mass_r], [bounds_s], [mass_s],
+    [sample_r] and [sample_s], each prefixed by its length. *)
+
+val any_of_binary : kind -> string -> pos:int -> len:int -> (any, string) result
+(** [any_of_binary kind s ~pos ~len] decodes the {!any_to_binary}
+    payload of [kind] held in [s.[pos, pos + len)], in one pass and
+    without parsing text.  Total: a short, over-long or out-of-bounds
+    payload, a length prefix larger than the bytes left (checked before
+    anything is allocated), or field values the kind's validator
+    rejects give [Error], never an exception.  Integrity (torn or
+    altered bytes) is the framing's job — [Catalog.Snapshot] checksums
+    the payload. *)

@@ -140,6 +140,509 @@ let test_snapshot_orphan_tmp_sweep () =
   check Alcotest.bool "swept before serving" false (Sys.file_exists orphan);
   check (Alcotest.list Alcotest.string) "catalog unaffected" [ "good" ] (Service.names svc)
 
+(* ---------------- Snapshot format v2 ---------------- *)
+
+module Stored = Selest.Stored
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_bin path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The frame checksum, restated from the format description so the test
+   pins it: FNV-1a-64 over little-endian 8-byte words, the last one
+   zero-padded, then over the length. *)
+let reference_checksum body =
+  let len = String.length body in
+  let step h w = Int64.mul (Int64.logxor h w) 0x100000001b3L in
+  let word i =
+    let w = ref 0L in
+    for k = Int.min len (i + 8) - 1 downto i do
+      w := Int64.logor (Int64.shift_left !w 8) (Int64.of_int (Char.code body.[k]))
+    done;
+    !w
+  in
+  let rec go h i = if i + 8 <= len then go (step h (word i)) (i + 8) else step h (word i) in
+  step (go 0xcbf29ce484222325L 0) (Int64.of_int len)
+
+(* [body] framed the way a v2 file ends: its checksum as 8 LE bytes. *)
+let with_checksum body =
+  let sum = Bytes.create 8 in
+  Bytes.set_int64_le sum 0 (reference_checksum body);
+  body ^ Bytes.to_string sum
+
+(* Hand encoders for the binary payload, one 8-byte word per field. *)
+let payload_of words =
+  let b = Bytes.create (8 * List.length words) in
+  List.iteri
+    (fun i w ->
+      Bytes.set_int64_le b (8 * i)
+        (match w with `F v -> Int64.bits_of_float v | `I n -> Int64.of_int n))
+    words;
+  Bytes.to_string b
+
+let floats a = List.map (fun v -> `F v) (Array.to_list a)
+let counted a = `I (Array.length a) :: floats a
+
+(* One small entry of each kind; the join carries a provenance line. *)
+let small_entries () =
+  let points = [| (1.0, 1.0); (3.0, 3.0); (2.5, 0.5) |] in
+  [
+    {
+      Snapshot.name = "small/range";
+      spec = "ewh:4";
+      inserts = 7;
+      stale = false;
+      provenance = None;
+      summary =
+        Stored.Range
+          (Stored.of_sample ~cells:4 ~spec:Selest.Estimator.Sampling ~domain:(0.0, 4.0)
+             [| 0.5; 1.5; 1.7; 3.2 |]);
+    };
+    {
+      Snapshot.name = "small/rect";
+      spec = "hist2d:2";
+      inserts = 0;
+      stale = true;
+      provenance = None;
+      summary =
+        Stored.Rect
+          (Stored.rect_of_points ~domain_x:(0.0, 4.0) ~domain_y:(0.0, 4.0) ~bins_x:2 ~bins_y:2
+             points);
+    };
+    {
+      Snapshot.name = "small/join";
+      spec = "edh:2";
+      inserts = 3;
+      stale = false;
+      provenance = Some "hand-built";
+      summary =
+        Stored.Join
+          (Stored.join_of_samples ~domain:(0.0, 8.0) ~buckets:2 ~n_r:100 ~n_s:90
+             [| 1.0; 2.0; 6.0 |] [| 4.0; 5.0 |]);
+    };
+  ]
+
+let expect_load_error what path =
+  match Snapshot.load ~path with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s: damaged snapshot accepted" what
+  | exception e -> Alcotest.failf "%s: load raised %s" what (Printexc.to_string e)
+
+(* Every truncation and every single-byte change of a v2 file is an
+   Error: the declared payload length catches a cut, the checksum a
+   changed byte anywhere, header lines included. *)
+let test_v2_damage_is_error () =
+  let dir = fresh_dir () in
+  List.iter
+    (fun (e : Snapshot.entry) ->
+      Snapshot.save ~dir e;
+      let p = Snapshot.path ~dir e.Snapshot.name in
+      let good = read_file p in
+      check Alcotest.string (e.name ^ ": magic line") "selest-catalog v2\n"
+        (String.sub good 0 18);
+      let body = String.sub good 0 (String.length good - 8) in
+      check Alcotest.string (e.name ^ ": trailer is the reference checksum") good
+        (with_checksum body);
+      (* Each variant gets a new file, removed after: replacing a file
+         that holds data can cost a disk flush on some filesystems. *)
+      let expect_error what contents =
+        let damaged = Filename.concat dir "damaged.summary" in
+        write_bin damaged contents;
+        expect_load_error what damaged;
+        Sys.remove damaged
+      in
+      for len = 0 to String.length good - 1 do
+        expect_error (Printf.sprintf "%s cut to %d bytes" e.name len) (String.sub good 0 len)
+      done;
+      String.iteri
+        (fun i c ->
+          List.iter
+            (fun mask ->
+              let b = Bytes.of_string good in
+              Bytes.set b i (Char.chr (Char.code c lxor mask));
+              expect_error
+                (Printf.sprintf "%s byte %d xor 0x%02x" e.name i mask)
+                (Bytes.to_string b))
+            [ 0x01; 0x80 ])
+        good;
+      let loaded = or_fail (Snapshot.load ~path:p) in
+      check Alcotest.string (e.name ^ ": intact file still loads")
+        (Stored.any_to_string e.summary) (Stored.any_to_string loaded.Snapshot.summary))
+    (small_entries ())
+
+let test_v2_damage_skipped () =
+  let dir = fresh_dir () in
+  let entries = small_entries () in
+  List.iter (Snapshot.save ~dir) entries;
+  let good = read_file (Snapshot.path ~dir "small/join") in
+  write_bin (Filename.concat dir "torn.summary") (String.sub good 0 (String.length good - 1));
+  let flipped = Bytes.of_string good in
+  Bytes.set flipped 40 (Char.chr (Char.code good.[40] lxor 0x80));
+  write_bin (Filename.concat dir "flipped.summary") (Bytes.to_string flipped);
+  let loaded, skipped = Snapshot.load_dir ~dir () in
+  check (Alcotest.list Alcotest.string) "intact entries load"
+    [ "small/join"; "small/range"; "small/rect" ]
+    (List.sort String.compare (List.map (fun (e : Snapshot.entry) -> e.Snapshot.name) loaded));
+  check (Alcotest.list Alcotest.string) "damaged files reported"
+    [ "flipped.summary"; "torn.summary" ]
+    (List.sort String.compare (List.map fst skipped));
+  let svc, warnings = Service.open_dir dir in
+  check Alcotest.int "open_dir reports both" 2 (List.length warnings);
+  check Alcotest.bool "survivors answer" true
+    (Result.is_ok (Service.answer_join svc ~name:"small/join" ~pred:Stored.Join_eq))
+
+(* Counts larger than the bytes that follow them are refused before
+   anything is allocated: the frame's payload length against the file,
+   and a join array's length prefix against the payload — the latter
+   with a valid checksum, so the decoder itself must refuse it. *)
+let test_v2_oversized_counts () =
+  let dir = fresh_dir () in
+  let e = List.nth (small_entries ()) 2 in
+  Snapshot.save ~dir e;
+  let p = Snapshot.path ~dir e.Snapshot.name in
+  let good = read_file p in
+  let body = String.sub good 0 (String.length good - 8) in
+  let marker = "payload join " in
+  let at =
+    let rec find i =
+      if String.sub body i (String.length marker) = marker then i else find (i + 1)
+    in
+    find 0
+  in
+  let line_end = String.index_from body at '\n' in
+  let header = String.sub body 0 at in
+  let payload = String.sub body (line_end + 1) (String.length body - line_end - 1) in
+  let frame declared payload =
+    with_checksum (Printf.sprintf "%spayload join %d\n%s" header declared payload)
+  in
+  write_bin p (frame (String.length payload) payload);
+  ignore (or_fail (Snapshot.load ~path:p));
+  write_bin p (frame (String.length payload + 8) payload);
+  expect_load_error "payload length past the end of the file" p;
+  write_bin p (frame (1 lsl 40) payload);
+  expect_load_error "payload length 2^40" p;
+  (* lo, hi, n_r, n_s, then the length of bounds_r *)
+  let huge = Bytes.of_string payload in
+  Bytes.set_int64_le huge 32 (Int64.shift_left 1L 40);
+  let huge = Bytes.to_string huge in
+  (match Stored.any_of_binary Stored.Join_kind huge ~pos:0 ~len:(String.length huge) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a 2^40 array length was accepted");
+  write_bin p (frame (String.length huge) huge);
+  expect_load_error "array length 2^40 under a valid checksum" p;
+  let rect =
+    payload_of
+      [ `F 0.0; `F 0.0; `F 1.0; `F 1.0; `I (1 lsl 40); `I (1 lsl 40); `F 1.0; `F 1.0 ]
+  in
+  match Stored.any_of_binary Stored.Rect_kind rect ~pos:0 ~len:(String.length rect) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "2^40 x 2^40 bins over one count accepted"
+
+(* The text and binary decoders go through one validator per kind, so
+   on the same hand-built field values they accept or reject together,
+   and what they accept is the same summary. *)
+let test_text_binary_agree () =
+  let agree label kind text binary =
+    let t = Stored.any_of_string text in
+    let b = Stored.any_of_binary kind binary ~pos:0 ~len:(String.length binary) in
+    match (t, b) with
+    | Ok t, Ok b ->
+      check Alcotest.string (label ^ ": same summary") (Stored.any_to_string t)
+        (Stored.any_to_string b)
+    | Error _, Error _ -> ()
+    | Ok _, Error e -> Alcotest.failf "%s: text accepts, binary rejects (%s)" label e
+    | Error e, Ok _ -> Alcotest.failf "%s: binary accepts, text rejects (%s)" label e
+  in
+  let lines a = String.concat "" (List.map (Printf.sprintf "%.17g\n") (Array.to_list a)) in
+  let nan = Float.nan and inf = Float.infinity in
+  List.iter
+    (fun (label, lo, hi, w) ->
+      agree ("range " ^ label) Stored.Range_kind
+        (Printf.sprintf "selest-stored v1\ndomain %.17g %.17g\ncells %d\n%s" lo hi
+           (Array.length w) (lines w))
+        (payload_of ((`F lo :: `F hi :: floats w))))
+    [
+      ("valid", 0.0, 4.0, [| 0.1; 0.2; 0.3; 0.4 |]);
+      ("denormal and -0 weights", -1.5, 2.5, [| 4.9e-324; -0.0; 1e-300 |]);
+      ("infinite lo", Float.neg_infinity, 1.0, [| 0.5 |]);
+      ("empty domain", 3.0, 3.0, [| 0.5 |]);
+      ("inverted domain", 9.0, 3.0, [| 0.5 |]);
+      ("nan bound", nan, 1.0, [| 0.5 |]);
+      ("no cells", 0.0, 1.0, [||]);
+      ("negative weight", 0.0, 1.0, [| 0.5; -0.1 |]);
+      ("nan weight", 0.0, 1.0, [| nan |]);
+      ("infinite weight", 0.0, 1.0, [| 0.5; inf |]);
+    ];
+  List.iter
+    (fun (label, x_lo, y_lo, wx, wy, bx, by, total, counts) ->
+      agree ("rect " ^ label) Stored.Rect_kind
+        (Printf.sprintf
+           "selest-stored-rect v1\ndomain_x %.17g %.17g\ndomain_y %.17g %.17g\n\
+            bins %d %d\ntotal %.17g\n%s"
+           x_lo
+           (x_lo +. (wx *. float_of_int bx))
+           y_lo
+           (y_lo +. (wy *. float_of_int by))
+           bx by total (lines counts))
+        (payload_of
+           ([ `F x_lo; `F y_lo; `F wx; `F wy; `I bx; `I by; `F total ] @ floats counts)))
+    [
+      ("valid", 0.0, -2.0, 1.0, 0.5, 2, 2, 4.0, [| 1.0; 0.0; 2.0; 1.0 |]);
+      ("zero width", 0.0, 0.0, 0.0, 1.0, 2, 1, 1.0, [| 1.0; 0.0 |]);
+      ("negative width", 0.0, 0.0, 1.0, -1.0, 1, 1, 1.0, [| 1.0 |]);
+      ("nan origin", nan, 0.0, 1.0, 1.0, 1, 1, 1.0, [| 1.0 |]);
+      ("infinite origin", 0.0, inf, 1.0, 1.0, 1, 1, 1.0, [| 1.0 |]);
+      ("zero bins", 0.0, 0.0, 1.0, 1.0, 0, 1, 1.0, [||]);
+      ("negative bins", 0.0, 0.0, 1.0, 1.0, -2, -2, 1.0, [| 1.0; 1.0; 1.0; 1.0 |]);
+      ("too few counts", 0.0, 0.0, 1.0, 1.0, 2, 2, 1.0, [| 1.0; 1.0; 1.0 |]);
+      ("overflowing bins", 0.0, 0.0, 1.0, 1.0, 1 lsl 61, 4, 1.0, [||]);
+      ("zero total", 0.0, 0.0, 1.0, 1.0, 1, 1, 0.0, [| 1.0 |]);
+      ("infinite total", 0.0, 0.0, 1.0, 1.0, 1, 1, inf, [| 1.0 |]);
+      ("negative count", 0.0, 0.0, 1.0, 1.0, 1, 2, 1.0, [| 1.0; -1.0 |]);
+      ("nan count", 0.0, 0.0, 1.0, 1.0, 1, 1, 1.0, [| nan |]);
+    ];
+  let valid_join =
+    (0.0, 8.0, 100, 90, [| 0.0; 4.0; 8.0 |], [| 0.5; 0.5 |], [| 0.0; 8.0 |], [| 1.0 |],
+     [| 1.0; 6.0 |], [| 4.0 |])
+  in
+  let with_r (lo, hi, n_r, n_s, _, _, bs, ms, sr, ss) br mr =
+    (lo, hi, n_r, n_s, br, mr, bs, ms, sr, ss)
+  in
+  let (lo0, hi0, nr0, ns0, br0, mr0, bs0, ms0, sr0, ss0) = valid_join in
+  List.iter
+    (fun (label, (lo, hi, n_r, n_s, br, mr, bs, ms, sr, ss)) ->
+      let section name a = Printf.sprintf "%s %d\n%s" name (Array.length a) (lines a) in
+      agree ("join " ^ label) Stored.Join_kind
+        (Printf.sprintf "selest-stored-join v1\ndomain %.17g %.17g\nsizes %d %d\n%s%s%s%s%s%s"
+           lo hi n_r n_s (section "bounds_r" br) (section "mass_r" mr)
+           (section "bounds_s" bs) (section "mass_s" ms) (section "sample_r" sr)
+           (section "sample_s" ss))
+        (payload_of
+           ([ `F lo; `F hi; `I n_r; `I n_s ]
+           @ List.concat_map counted [ br; mr; bs; ms; sr; ss ])))
+    [
+      ("valid", valid_join);
+      ("empty domain", (4.0, 4.0, nr0, ns0, br0, mr0, bs0, ms0, sr0, ss0));
+      ("infinite domain", (lo0, inf, nr0, ns0, br0, mr0, bs0, ms0, sr0, ss0));
+      ("zero n_r", (lo0, hi0, 0, ns0, br0, mr0, bs0, ms0, sr0, ss0));
+      ("negative n_s", (lo0, hi0, nr0, -3, br0, mr0, bs0, ms0, sr0, ss0));
+      ("bounds start past lo", with_r valid_join [| 1.0; 4.0; 8.0 |] mr0);
+      ("bounds end before hi", with_r valid_join [| 0.0; 4.0; 7.0 |] mr0);
+      ("repeated bound", with_r valid_join [| 0.0; 0.0; 8.0 |] mr0);
+      ("descending bounds", with_r valid_join [| 0.0; 9.0; 8.0 |] mr0);
+      ("mass length mismatch", with_r valid_join br0 [| 1.0 |]);
+      ("negative mass", with_r valid_join br0 [| 1.5; -0.5 |]);
+      ("nan mass", with_r valid_join br0 [| nan; 0.5 |]);
+      ("empty sample_r", (lo0, hi0, nr0, ns0, br0, mr0, bs0, ms0, [||], ss0));
+      ("nan sample_s", (lo0, hi0, nr0, ns0, br0, mr0, bs0, ms0, sr0, [| nan |]));
+    ]
+
+(* What the parent format looked like on disk: the v1 text header, then
+   the text payload (written here exactly as the v1 writer wrote it). *)
+let write_v1 ~dir (e : Snapshot.entry) =
+  let oc = open_out (Snapshot.path ~dir e.Snapshot.name) in
+  Printf.fprintf oc "%s\nname %s\nspec %s\ninserts %d\nstale %d\n" "selest-catalog v1" e.name
+    e.spec e.inserts
+    (if e.stale then 1 else 0);
+  (match e.provenance with Some p -> Printf.fprintf oc "provenance %s\n" p | None -> ());
+  output_string oc (Stored.any_to_string e.summary);
+  close_out oc
+
+(* Legacy v1 files open beside v2 ones, answer as a v1 reader answers
+   them, and turn into v2 files with unchanged answers at their next
+   persist. *)
+let test_v1_compat () =
+  let dir = fresh_dir () in
+  let rd = (-3.25, 117.8) and rx = (-10.3, 50.9) and ry = (2.2, 33.7) in
+  let sample = Array.init 200 (fun i -> -3.0 +. float_of_int (i * 37 mod 120) +. 0.31) in
+  let points =
+    Array.init 200 (fun i ->
+        (-10.0 +. float_of_int (i * 13 mod 60) +. 0.7, 2.5 +. float_of_int (i * 7 mod 31)))
+  in
+  let mk name ?provenance spec summary =
+    { Snapshot.name; spec; inserts = 11; stale = false; provenance; summary }
+  in
+  let range =
+    Stored.Range (Stored.of_sample ~cells:64 ~spec:Selest.Estimator.Sampling ~domain:rd sample)
+  in
+  let rect =
+    Stored.Rect (Stored.rect_of_points ~domain_x:rx ~domain_y:ry ~bins_x:7 ~bins_y:9 points)
+  in
+  let join =
+    Stored.Join
+      (Stored.join_of_samples ~domain:rd ~buckets:8 ~n_r:5000 ~n_s:4000 sample
+         (Array.map (fun v -> v *. 0.9) sample))
+  in
+  let v1 =
+    [
+      mk "v1/range" ~provenance:"advisor v1 spec=sampling" "sampling" range;
+      mk "v1/rect" "hist2d:7x9" rect;
+      mk "v1/join" ~provenance:"hand-built" "edh:8" join;
+    ]
+  in
+  let v2 =
+    [ mk "v2/range" "sampling" range; mk "v2/rect" "hist2d:7x9" rect; mk "v2/join" "edh:8" join ]
+  in
+  List.iter (write_v1 ~dir) v1;
+  List.iter (Snapshot.save ~dir) v2;
+  let svc, warnings = Service.open_dir dir in
+  check Alcotest.int "mixed v1/v2 directory opens clean" 0 (List.length warnings);
+  check (Alcotest.list Alcotest.string) "every entry indexed"
+    [ "v1/join"; "v1/range"; "v1/rect"; "v2/join"; "v2/range"; "v2/rect" ] (Service.names svc);
+  let range_q = [ (-1.0, 40.3); (17.17, 17.9); (50.0, 200.0); (-100.0, 0.1) ] in
+  let rect_q = [ (-4.3, 20.6, 5.1, 30.2); (0.0, 0.0, 10.0, 10.0); (-20.0, 60.0, 0.0, 40.0) ] in
+  let preds = [ Stored.Join_eq; Stored.Join_lt; Stored.Join_le ] in
+  (* What a reader answers from [summary]: directly, or through the v1
+     text path for a v1 file. *)
+  let expected ~v1 summary =
+    let s =
+      if v1 then or_fail (Stored.any_of_string (Stored.any_to_string summary)) else summary
+    in
+    match s with
+    | Stored.Range t -> List.map (fun (a, b) -> Stored.selectivity t ~a ~b) range_q
+    | Stored.Rect r ->
+      List.map
+        (fun (x_lo, x_hi, y_lo, y_hi) -> Stored.rect_selectivity r ~x_lo ~x_hi ~y_lo ~y_hi)
+        rect_q
+    | Stored.Join j -> List.map (fun pred -> Stored.join_estimate j ~pred) preds
+  in
+  let served svc (e : Snapshot.entry) =
+    let name = e.Snapshot.name in
+    match e.summary with
+    | Stored.Range _ ->
+      Array.to_list
+        (Service.answer svc (Array.of_list (List.map (fun (a, b) -> (name, a, b)) range_q)))
+    | Stored.Rect _ ->
+      List.map
+        (fun (x_lo, x_hi, y_lo, y_hi) ->
+          or_fail (Service.answer_rect svc ~name ~x_lo ~x_hi ~y_lo ~y_hi))
+        rect_q
+    | Stored.Join _ -> List.map (fun pred -> or_fail (Service.answer_join svc ~name ~pred)) preds
+  in
+  let check_answers what svc v1_format (e : Snapshot.entry) =
+    check Alcotest.bool
+      (Printf.sprintf "%s: %s answers bit-identical" what e.Snapshot.name)
+      true
+      (List.for_all2 same_bits (expected ~v1:v1_format e.summary) (served svc e))
+  in
+  List.iter (check_answers "opened" svc true) v1;
+  List.iter (check_answers "opened" svc false) v2;
+  let first_line name =
+    List.hd (String.split_on_char '\n' (read_file (Snapshot.path ~dir name)))
+  in
+  check Alcotest.string "untouched v1 file stays v1" "selest-catalog v1" (first_line "v1/range");
+  or_fail (Service.invalidate svc "v1/rect");
+  or_fail (Service.record_inserts svc ~name:"v1/join" 5);
+  or_fail (Service.record_inserts svc ~name:"v1/range" 1);
+  List.iter
+    (fun (e : Snapshot.entry) ->
+      check Alcotest.string (e.Snapshot.name ^ " rewritten as v2") "selest-catalog v2"
+        (first_line e.name))
+    v1;
+  let svc2, warnings = Service.open_dir dir in
+  check Alcotest.int "reopen after the rewrite is clean" 0 (List.length warnings);
+  List.iter (check_answers "rewritten" svc true) v1;
+  List.iter (check_answers "reopened" svc2 true) v1;
+  List.iter (check_answers "reopened" svc2 false) v2;
+  check (Alcotest.option Alcotest.string) "provenance survives the rewrite"
+    (Some "hand-built") (Option.get (Service.info svc2 "v1/join")).Service.provenance
+
+(* Save then load reproduces every answer bit for bit, on domains whose
+   ends are arbitrary reals: the v1 text form re-derived a rect's cell
+   widths from its printed domain ends and could answer differently
+   after a reload. *)
+let prop_snapshot_bits =
+  let gen_domain =
+    QCheck.Gen.(
+      let* lo = float_range (-1000.0) 1000.0 in
+      let* width = float_range 0.5 1000.0 in
+      return (lo, lo +. width))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (rd, _, rx, ry, _, _, jd, _, seed) ->
+        Printf.sprintf "range %h..%h, rect %h..%h x %h..%h, join %h..%h, seed %d" (fst rd)
+          (snd rd) (fst rx) (snd rx) (fst ry) (snd ry) (fst jd) (snd jd) seed)
+      QCheck.Gen.(
+        let* rd = gen_domain in
+        let* cells = int_range 1 64 in
+        let* rx = gen_domain in
+        let* ry = gen_domain in
+        let* bins_x = int_range 1 32 in
+        let* bins_y = int_range 1 32 in
+        let* jd = gen_domain in
+        let* buckets = int_range 1 32 in
+        let* seed = int_bound 1_000_000 in
+        return (rd, cells, rx, ry, bins_x, bins_y, jd, buckets, seed))
+  in
+  let dir = lazy (fresh_dir ()) in
+  QCheck.Test.make ~count:1000 ~name:"save/load answers bit-identical on real domains" arb
+    (fun (rd, cells, rx, ry, bins_x, bins_y, jd, buckets, seed) ->
+      let dir = Lazy.force dir in
+      let rng = Random.State.make [| seed |] in
+      (* Points inside the domain, queries reaching a tenth past it. *)
+      let within (lo, hi) = lo +. Random.State.float rng (hi -. lo) in
+      let around (lo, hi) =
+        lo -. (0.1 *. (hi -. lo)) +. Random.State.float rng (1.2 *. (hi -. lo))
+      in
+      let reload summary =
+        let spec =
+          match summary with
+          | Stored.Range _ -> "ewh"
+          | Stored.Rect _ -> "hist2d"
+          | Stored.Join _ -> "edh"
+        in
+        Snapshot.save ~dir
+          { Snapshot.name = "p"; spec; inserts = 0; stale = false; provenance = None; summary };
+        let loaded = (or_fail (Snapshot.load ~path:(Snapshot.path ~dir "p"))).Snapshot.summary in
+        Snapshot.delete ~dir "p";
+        loaded
+      in
+      let range =
+        Stored.of_sample ~cells ~spec:Selest.Estimator.Sampling ~domain:rd
+          (Array.init 50 (fun _ -> within rd))
+      in
+      let rect =
+        Stored.rect_of_points ~domain_x:rx ~domain_y:ry ~bins_x ~bins_y
+          (Array.init 50 (fun _ -> (within rx, within ry)))
+      in
+      let join =
+        Stored.join_of_samples ~domain:jd ~buckets ~n_r:1000 ~n_s:800
+          (Array.init 40 (fun _ -> within jd))
+          (Array.init 30 (fun _ -> within jd))
+      in
+      let queries f = List.init 20 (fun _ -> f ()) in
+      (match reload (Stored.Range range) with
+      | Stored.Range t ->
+        List.for_all
+          (fun (a, b) -> same_bits (Stored.selectivity range ~a ~b) (Stored.selectivity t ~a ~b))
+          (queries (fun () ->
+               let a = around rd in
+               (a, around rd)))
+      | _ -> false)
+      && (match reload (Stored.Rect rect) with
+         | Stored.Rect r ->
+           List.for_all
+             (fun (x_lo, x_hi, y_lo, y_hi) ->
+               same_bits
+                 (Stored.rect_selectivity rect ~x_lo ~x_hi ~y_lo ~y_hi)
+                 (Stored.rect_selectivity r ~x_lo ~x_hi ~y_lo ~y_hi))
+             (queries (fun () ->
+                  let a = around rx in
+                  let b = around rx in
+                  let c = around ry in
+                  let d = around ry in
+                  (Float.min a b, Float.max a b, Float.min c d, Float.max c d)))
+         | _ -> false)
+      &&
+      match reload (Stored.Join join) with
+      | Stored.Join j ->
+        List.for_all
+          (fun pred -> same_bits (Stored.join_estimate join ~pred) (Stored.join_estimate j ~pred))
+          [ Stored.Join_eq; Stored.Join_lt; Stored.Join_le ]
+      | _ -> false)
+
 (* ---------------- Service ---------------- *)
 
 let build_two svc =
@@ -702,6 +1205,15 @@ let () =
             test_snapshot_corrupt_skip;
           Alcotest.test_case "orphaned tmp files swept and reported" `Quick
             test_snapshot_orphan_tmp_sweep;
+          Alcotest.test_case "v2: every truncation and byte flip is an Error" `Quick
+            test_v2_damage_is_error;
+          Alcotest.test_case "v2: damaged files skipped and reported" `Quick
+            test_v2_damage_skipped;
+          Alcotest.test_case "v2: oversized counts refused" `Quick test_v2_oversized_counts;
+          Alcotest.test_case "text and binary decoders agree on field values" `Quick
+            test_text_binary_agree;
+          Alcotest.test_case "v1 files open, answer, and persist as v2" `Quick test_v1_compat;
+          QCheck_alcotest.to_alcotest prop_snapshot_bits;
         ] );
       ( "service",
         [
