@@ -864,9 +864,10 @@ module Cat = Catalog.Service
 (* Exercises the serving path end to end: ANALYZE all headline files into
    snapshot files through an undersized cache (evictions), reopen the
    directory cold (load-on-open recovery), serve 40 rounds of hot batches,
-   then score every entry's answers against exact selectivities.
-   BENCH_results.json gets the serving queries_per_s, the cache_hit_rate,
-   and each entry's MRE under mre_by_spec. *)
+   then score every entry's answers against exact selectivities, and
+   time 100 persists of one resident entry.  BENCH_results.json gets the
+   serving queries_per_s, the cache_hit_rate, the persist_ms_p50 and
+   persist_ms_max, and each entry's MRE under mre_by_spec. *)
 let bench_catalog () =
   header "catalog: summary serving (build, reopen cold, hot batches)";
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_catalog" in
@@ -959,7 +960,31 @@ let bench_catalog () =
     !total serve_s
     (float_of_int !total /. serve_s)
     hit_rate s.Catalog.Lru.hits s.Catalog.Lru.misses s.Catalog.Lru.evictions
-    build_stats.Catalog.Lru.evictions
+    build_stats.Catalog.Lru.evictions;
+  (* What a persist costs the owner (after the cache figures, which the
+     lookup that makes the entry resident would move): each
+     record_inserts call writes the entry's snapshot again, replacing
+     the one before it. *)
+  let persist_name =
+    let file, spec = List.hd hot in
+    file ^ "/" ^ spec
+  in
+  ignore (Cat.answer_one svc ~name:persist_name ~a:0.0 ~b:0.0);
+  let persists =
+    Array.init 100 (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        (match Cat.record_inserts svc ~name:persist_name 1 with
+        | Ok () -> ()
+        | Error msg -> failwith (Printf.sprintf "catalog persist %s: %s" persist_name msg));
+        (Unix.gettimeofday () -. t0) *. 1e3)
+  in
+  Cat.flush svc;
+  let persist_p50 = Stats.Quantile.quantile persists 0.5 in
+  let persist_max = Array.fold_left Float.max 0.0 persists in
+  Record.note_extra ~key:"persist_ms_p50" persist_p50;
+  Record.note_extra ~key:"persist_ms_max" persist_max;
+  Printf.printf "persist: %d record_inserts on %s, p50 %.3f ms, max %.3f ms\n"
+    (Array.length persists) persist_name persist_p50 persist_max
 
 (* ------------------------------------------------------------------ *)
 (* Serve: the network serving layer under closed-loop load             *)

@@ -608,11 +608,14 @@ let catalog_build_cmd =
       | Some f -> or_die (load_dataset seed f)
       | None -> or_die (Error (Printf.sprintf "catalog build --kind %s needs --with FILE" what))
     in
+    (* Printed once the janitor is done, so the file named is durable and
+       is the only one the entry has. *)
     let report (info : Cat.info) sample_note =
+      Cat.flush svc;
       Printf.printf "built %S: %s %s over %s, %d cells, %s -> %s\n" info.Cat.name
         (Selest.Stored.kind_name info.Cat.kind) info.Cat.spec (Data.Dataset.name ds)
         info.Cat.cells sample_note
-        (Catalog.Snapshot.path ~dir info.Cat.name)
+        (Option.get (Cat.snapshot_file svc info.Cat.name))
     in
     if spec = Some "auto" && kind <> `Range then
       or_die (Error "catalog build: --spec auto is only supported for --kind range");
@@ -791,8 +794,11 @@ let catalog_invalidate_cmd =
       (fun name ->
         match Cat.invalidate svc name with
         | Ok () -> Printf.printf "invalidated %S (stale until rebuilt)\n" name
-        | Error msg -> or_die (Error msg))
-      names
+        | Error msg ->
+          Cat.flush svc;
+          or_die (Error msg))
+      names;
+    Cat.flush svc
   in
   let doc = "Mark entries stale so the next `catalog build` refreshes them." in
   Cmd.v (Cmd.info "invalidate" ~doc) Term.(const run $ catalog_dir_arg $ names_arg)

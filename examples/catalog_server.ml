@@ -32,9 +32,12 @@ let () =
       | Ok info ->
         Printf.printf "analyzed %-14s %s, %d cells -> %s\n" info.Cat.name info.Cat.spec
           info.Cat.cells
-          (Catalog.Snapshot.path ~dir info.Cat.name)
+          (Option.get (Cat.snapshot_file svc info.Cat.name))
       | Error msg -> failwith msg)
     [ ("n(20)", "kernel"); ("arap1", "hybrid") ];
+  (* An orderly exit waits for the snapshot janitor: what was written is
+     durable, and each entry is down to one file. *)
+  Cat.flush svc;
 
   (* --- Restart: reopen the directory; only the snapshots survive --- *)
   let svc, skipped = Cat.open_dir dir in
@@ -66,9 +69,12 @@ let () =
   let relation = Data.Catalog.find ~seed:42L "n(20)" in
   let fresh = E.sample_of relation ~seed:8L ~n:2000 in
   (match Cat.rebuild svc ~name:"n(20)/kernel" ~sample:fresh with
-  | Ok info -> Printf.printf "rebuilt %s: stale=%b\n" info.Cat.name info.Cat.stale
+  | Ok info ->
+    Printf.printf "rebuilt %s: stale=%b -> %s\n" info.Cat.name info.Cat.stale
+      (Option.get (Cat.snapshot_file svc info.Cat.name))
   | Error msg -> failwith msg);
 
   let s = Cat.cache_stats svc in
   Printf.printf "\ncache: %d hits, %d misses, %d evictions\n" s.Catalog.Lru.hits
-    s.Catalog.Lru.misses s.Catalog.Lru.evictions
+    s.Catalog.Lru.misses s.Catalog.Lru.evictions;
+  Cat.flush svc

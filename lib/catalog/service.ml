@@ -17,6 +17,10 @@ type meta = {
   domain_y : (float * float) option; (* rect entries only *)
   mutable inserts : int;
   mutable stale : bool;
+  mutable gen : int;
+      (* the entry's highest generation on disk; its next persist writes
+         [gen + 1], a name no file has *)
+  mutable file : string; (* the generation holding the served bits: what a miss loads *)
 }
 
 type adaptive_config = {
@@ -72,11 +76,30 @@ type adaptive_rt = {
   mutable pending : pending option;
 }
 
+(* The off-owner half of a persist.  The owner hands every generation
+   it writes to a janitor systhread, started on demand, that runs
+   [Snapshot.commit] on them: fsync, then unlink what they replace.  The
+   thread exits as soon as it finds nothing to do, so a domain that
+   persisted can always be joined — OCaml 5's [Domain.join] waits for
+   every systhread the domain started. *)
+type janitor = {
+  j_m : Mutex.t;
+  mutable j_written : (string * int) list; (* handed over, not yet committed *)
+  mutable j_running : bool; (* a janitor thread will look at [j_written] again *)
+  mutable j_thread : Thread.t option; (* the last one started; owner-only *)
+}
+
 type t = {
   dir : string;
   config : config;
   index : (string, meta) Hashtbl.t;
   cache : Selest.Stored.any Lru.t;
+  tops : (string, int) Hashtbl.t;
+      (* highest generation on disk of names not in the index: dropped
+         entries, and entries none of whose files loaded.  A new build of
+         such a name continues above it, so neither a janitor still
+         retiring the old entry nor a torn file can take the new file. *)
+  janitor : janitor;
   mutable adaptive : adaptive_rt option;
   m_entries : Telemetry.Metrics.gauge;
   m_builds : Telemetry.Metrics.counter;
@@ -104,7 +127,7 @@ type info = {
   cached : bool;
 }
 
-let meta_of ~spec ~provenance ~inserts ~stale summary =
+let meta_of ~spec ~provenance ~inserts ~stale ~gen ~file summary =
   {
     kind = Selest.Stored.any_kind summary;
     spec;
@@ -117,6 +140,8 @@ let meta_of ~spec ~provenance ~inserts ~stale summary =
       | _ -> None);
     inserts;
     stale;
+    gen;
+    file;
   }
 
 let open_dir ?(config = default_config) ?shard dir =
@@ -137,6 +162,8 @@ let open_dir ?(config = default_config) ?shard dir =
       config;
       index = Hashtbl.create 64;
       cache = Lru.create ~cache_name:(Filename.basename dir) ~capacity:config.capacity ();
+      tops = Hashtbl.create 8;
+      janitor = { j_m = Mutex.create (); j_written = []; j_running = false; j_thread = None };
       adaptive = None;
       m_entries =
         Telemetry.Metrics.gauge "catalog_entries" ~labels ~help:"Indexed catalog entries";
@@ -172,13 +199,16 @@ let open_dir ?(config = default_config) ?shard dir =
           ~help:"Summaries atomically swapped by the adaptive tick";
     }
   in
-  let entries, skipped = Snapshot.load_dir ?shard ~dir () in
+  let found, skipped = Snapshot.load_generations ?shard ~dir () in
   List.iter
-    (fun (e : Snapshot.entry) ->
-      Hashtbl.replace t.index e.name
-        (meta_of ~spec:e.spec ~provenance:e.provenance ~inserts:e.inserts ~stale:e.stale
-           e.summary))
-    entries;
+    (fun (g : Snapshot.generations) ->
+      match g.g_served with
+      | Some (gen, e) ->
+        Hashtbl.replace t.index e.name
+          (meta_of ~spec:e.spec ~provenance:e.provenance ~inserts:e.inserts ~stale:e.stale
+             ~gen:g.g_top ~file:(Snapshot.path ~gen ~dir e.name) e.summary)
+      | None -> Hashtbl.replace t.tops g.g_name g.g_top)
+    found;
   Telemetry.Metrics.add t.m_snapshot_load_errors (List.length skipped);
   Telemetry.Metrics.set t.m_entries (float_of_int (Hashtbl.length t.index));
   (t, skipped)
@@ -207,42 +237,105 @@ let info t name = Option.map (info_of t name) (Hashtbl.find_opt t.index name)
 let infos t =
   List.filter_map (fun name -> info t name) (names t)
 
-(* Rewrite the entry's snapshot from current metadata.  The summary is
-   read without touching recency or hit/miss accounting; if it was
-   evicted, it is reloaded from the existing snapshot first. *)
-let persist t name (m : meta) =
-  let summary =
-    match Lru.peek t.cache name with
-    | Some s -> s
-    | None -> (
-      match Snapshot.load ~path:(Snapshot.path ~dir:t.dir name) with
-      | Ok e -> e.Snapshot.summary
-      | Error msg ->
-        raise
-          (Sys_error (Printf.sprintf "catalog: snapshot of %S unreadable: %s" name msg)))
-  in
-  Snapshot.save ~dir:t.dir
-    {
-      Snapshot.name;
-      spec = m.spec;
-      inserts = m.inserts;
-      stale = m.stale;
-      provenance = m.provenance;
-      summary;
-    };
+(* ---------------- persistence ---------------- *)
+
+let rec janitor_loop t =
+  let j = t.janitor in
+  Mutex.lock j.j_m;
+  let written = j.j_written in
+  j.j_written <- [];
+  if written = [] then j.j_running <- false;
+  Mutex.unlock j.j_m;
+  if written <> [] then begin
+    Snapshot.commit ~dir:t.dir written;
+    janitor_loop t
+  end
+
+let hand_to_janitor t name gen =
+  let j = t.janitor in
+  Mutex.lock j.j_m;
+  j.j_written <- (name, gen) :: j.j_written;
+  let start = not j.j_running in
+  j.j_running <- true;
+  Mutex.unlock j.j_m;
+  if start then
+    match Thread.create janitor_loop t with
+    | th -> j.j_thread <- Some th
+    | exception _ ->
+      (* The generation is written; only its commit waits, for the next
+         hand-over or [flush]. *)
+      Mutex.lock j.j_m;
+      j.j_running <- false;
+      Mutex.unlock j.j_m
+
+let flush t =
+  let j = t.janitor in
+  Option.iter Thread.join j.j_thread;
+  j.j_thread <- None;
+  (* Left over only if a janitor thread could not be started. *)
+  Mutex.lock j.j_m;
+  let written = j.j_written in
+  j.j_written <- [];
+  Mutex.unlock j.j_m;
+  if written <> [] then Snapshot.commit ~dir:t.dir written
+
+(* The owner's half of a persist: write the entry's next generation
+   under a name no file has — no fsync, no rename over a live file — and
+   hand it to the janitor.  [m] points at the new file only once it is
+   in place, so a failed write raises with the entry's generation and
+   served file unchanged. *)
+let write_next t name (m : meta) ~inserts ~stale summary =
+  let gen = m.gen + 1 in
+  Snapshot.save ~gen ~dir:t.dir
+    { Snapshot.name; spec = m.spec; inserts; stale; provenance = m.provenance; summary };
+  m.gen <- gen;
+  m.file <- Snapshot.path ~gen ~dir:t.dir name;
+  hand_to_janitor t name gen;
   Telemetry.Metrics.incr t.m_snapshot_writes
 
-(* Shared tail of every build path: index, cache and snapshot move
-   together, so a successful build is immediately servable and survives a
-   restart. *)
+(* New change counts for the entry.  When [always], or when they turn
+   it stale, the snapshot is rewritten first — the summary read without
+   touching recency or hit/miss accounting, reloaded from the served
+   generation if it was evicted — so a failed write raises with the
+   entry unchanged. *)
+let set_counts ?(always = true) t name (m : meta) ~inserts ~stale =
+  let turned = stale && not m.stale in
+  if always || turned then begin
+    let summary =
+      match Lru.peek t.cache name with
+      | Some s -> s
+      | None -> (
+        match Snapshot.load ~path:m.file with
+        | Ok e -> e.Snapshot.summary
+        | Error msg ->
+          raise
+            (Sys_error (Printf.sprintf "catalog: snapshot of %S unreadable: %s" name msg)))
+    in
+    write_next t name m ~inserts ~stale summary
+  end;
+  m.inserts <- inserts;
+  m.stale <- stale;
+  if turned then Telemetry.Metrics.incr t.m_stale
+
+(* The stale flag after [inserts] changes: the insert budget is spent,
+   or the entry was stale already. *)
+let stale_at t (m : meta) inserts = m.stale || inserts >= t.config.rebuild_after_inserts
+
+(* Shared tail of every build path: snapshot, index and cache move
+   together — the snapshot first, so a failed write leaves the entry as
+   it was — and a successful build is immediately servable and survives
+   a restart. *)
 let install_built t ~name ~spec ~provenance summary =
-  let existed = Hashtbl.mem t.index name in
-  let m = meta_of ~spec ~provenance ~inserts:0 ~stale:false summary in
+  let existed, top =
+    match Hashtbl.find_opt t.index name with
+    | Some old -> (true, old.gen)
+    | None -> (false, Option.value (Hashtbl.find_opt t.tops name) ~default:(-1))
+  in
+  let m = meta_of ~spec ~provenance ~inserts:0 ~stale:false ~gen:top ~file:"" summary in
+  write_next t name m ~inserts:0 ~stale:false summary;
+  Hashtbl.remove t.tops name;
   Hashtbl.replace t.index name m;
   Lru.add t.cache name summary;
-  Snapshot.save ~dir:t.dir
-    { Snapshot.name; spec; inserts = 0; stale = false; provenance; summary };
-  Telemetry.Metrics.incr t.m_snapshot_writes;
   Telemetry.Metrics.incr t.m_builds;
   if existed then Telemetry.Metrics.incr t.m_rebuilds;
   Telemetry.Metrics.set t.m_entries (float_of_int (Hashtbl.length t.index));
@@ -313,51 +406,38 @@ let rebuild t ~name ~sample =
     (* The spec's origin is unchanged by refitting it on a fresh sample. *)
     build ?provenance:m.provenance t ~name ~spec:m.spec ~domain:m.domain ~sample
 
-(* Raise the stale flag if the insert budget is spent; returns whether the
-   entry transitioned. *)
-let refresh_staleness t (m : meta) =
-  let was = m.stale in
-  if m.inserts >= t.config.rebuild_after_inserts then m.stale <- true;
-  if m.stale && not was then Telemetry.Metrics.incr t.m_stale;
-  m.stale && not was
-
 let record_inserts t ~name count =
   match Hashtbl.find_opt t.index name with
   | None -> unknown name
   | Some m ->
-    m.inserts <- m.inserts + abs count;
-    ignore (refresh_staleness t m);
-    persist t name m;
+    let inserts = m.inserts + abs count in
+    set_counts t name m ~inserts ~stale:(stale_at t m inserts);
     Ok ()
 
 let sync_maintenance t ~name maintenance =
   match Hashtbl.find_opt t.index name with
   | None -> unknown name
   | Some m ->
-    m.inserts <- Selest.Maintenance.changed_count maintenance;
-    ignore (refresh_staleness t m);
-    persist t name m;
+    let inserts = Selest.Maintenance.changed_count maintenance in
+    set_counts t name m ~inserts ~stale:(stale_at t m inserts);
     Ok ()
 
 let invalidate t name =
   match Hashtbl.find_opt t.index name with
   | None -> unknown name
   | Some m ->
-    if not m.stale then begin
-      m.stale <- true;
-      Telemetry.Metrics.incr t.m_stale
-    end;
     (* Persist first: the summary may only be resident in the cache copy
        we are about to drop. *)
-    persist t name m;
+    set_counts t name m ~inserts:m.inserts ~stale:true;
     Lru.remove t.cache name;
     Ok ()
 
 let drop t name =
   match Hashtbl.find_opt t.index name with
   | None -> unknown name
-  | Some _ ->
+  | Some m ->
     Hashtbl.remove t.index name;
+    Hashtbl.replace t.tops name m.gen;
     Lru.remove t.cache name;
     Snapshot.delete ~dir:t.dir name;
     Telemetry.Metrics.set t.m_entries (float_of_int (Hashtbl.length t.index));
@@ -367,17 +447,18 @@ let drop t name =
    into the cache.  Raises on unknown names and unreadable snapshots.
    The hit path goes through [Lru.find_exn] and allocates nothing. *)
 let resolve_exn t name =
-  if not (Hashtbl.mem t.index name) then
-    invalid_arg (Printf.sprintf "Catalog.Service: unknown entry %S" name);
-  match Lru.find_exn t.cache name with
-  | summary -> summary
-  | exception Not_found -> (
-    match Snapshot.load ~path:(Snapshot.path ~dir:t.dir name) with
-    | Ok e ->
-      Lru.add t.cache name e.Snapshot.summary;
-      e.Snapshot.summary
-    | Error msg ->
-      invalid_arg (Printf.sprintf "Catalog.Service: snapshot of %S unreadable: %s" name msg))
+  match Hashtbl.find t.index name with
+  | exception Not_found -> invalid_arg (Printf.sprintf "Catalog.Service: unknown entry %S" name)
+  | m -> (
+    match Lru.find_exn t.cache name with
+    | summary -> summary
+    | exception Not_found -> (
+      match Snapshot.load ~path:m.file with
+      | Ok e ->
+        Lru.add t.cache name e.Snapshot.summary;
+        e.Snapshot.summary
+      | Error msg ->
+        invalid_arg (Printf.sprintf "Catalog.Service: snapshot of %S unreadable: %s" name msg)))
 
 (* The range-query paths keep their historical exception contract; a
    range request against a rect/join entry is a caller error of the same
@@ -470,6 +551,7 @@ let answer_join t ~name ~pred =
         ~got:(Selest.Stored.any_kind other)
 
 let cache_stats t = Lru.stats t.cache
+let snapshot_file t name = Option.map (fun m -> m.file) (Hashtbl.find_opt t.index name)
 
 (* FNV-1a over the entry name.  Stable across processes and OCaml
    versions; used both to place entries in shard directories and to
@@ -575,12 +657,12 @@ let insert t ~name values =
               pairs
           in
           st.rebuild_failed <- None;
-          m.inserts <- m.inserts + inserted;
+          let inserts = m.inserts + inserted in
           (* Persist only on the stale transition: one snapshot write per
              budget cycle instead of one per insert frame.  Staleness
              still survives restarts once tripped; sub-budget counts are
              the acceptable loss on kill. *)
-          if refresh_staleness t m then persist t name m;
+          set_counts ~always:false t name m ~inserts ~stale:(stale_at t m inserts);
           Telemetry.Metrics.add t.m_adaptive_inserts inserted;
           Ok (Online.Reservoir.size st.reservoir, Online.Reservoir.seen st.reservoir)))
 
@@ -611,19 +693,20 @@ let observe t ~name ~a ~b ~actual =
             Telemetry.Metrics.incr t.m_observations;
             Ok (Feedback.Adaptive.selectivity fb ~a ~b))))
 
-(* Install [summary] as the entry's served version: cache, metadata and
-   snapshot move together, and the feedback histogram is reseeded from the
-   new summary so refinement continues against what is actually served.
-   The swap happens entirely in the owner between [answer_into] calls —
-   a read sees the old bits or the new bits, never a torn mix. *)
+(* Install [summary] as the entry's served version: snapshot, cache and
+   metadata move together, and the feedback histogram is reseeded from
+   the new summary so refinement continues against what is actually
+   served.  The swap happens entirely in the owner between [answer_into]
+   calls — a read sees the old bits or the new bits, never a torn mix —
+   and the snapshot goes first, so a failed write raises with the old
+   bits still served. *)
 let install_summary t rt name (m : meta) (st : astate) summary ~reset_staleness =
+  let inserts, stale = if reset_staleness then (0, false) else (m.inserts, m.stale) in
+  write_next t name m ~inserts ~stale summary;
   Lru.add t.cache name summary;
   m.cells <- Selest.Stored.any_cells summary;
-  if reset_staleness then begin
-    m.inserts <- 0;
-    m.stale <- false
-  end;
-  persist t name m;
+  m.inserts <- inserts;
+  m.stale <- stale;
   st.feedback <- seed_feedback rt m summary;
   st.observes_since_refresh <- 0;
   Telemetry.Metrics.incr t.m_swaps
@@ -682,7 +765,7 @@ let launch_rebuild t rt name (m : meta) (st : astate) wake =
         match Lru.peek t.cache name with
         | Some (Selest.Stored.Join j) -> Some j
         | _ -> (
-          match Snapshot.load ~path:(Snapshot.path ~dir:t.dir name) with
+          match Snapshot.load ~path:m.file with
           | Ok { Snapshot.summary = Selest.Stored.Join j; _ } -> Some j
           | _ -> None)
       in
@@ -734,11 +817,16 @@ let adaptive_tick ?(wake = fun () -> ()) t =
         | Ok summary, Some m ->
           (match Hashtbl.find_opt rt.states p.p_name with
           | None -> ()
-          | Some st ->
-            install_summary t rt p.p_name m st summary ~reset_staleness:true;
-            Telemetry.Metrics.incr t.m_builds;
-            Telemetry.Metrics.incr t.m_rebuilds;
-            incr swaps)
+          | Some st -> (
+            match install_summary t rt p.p_name m st summary ~reset_staleness:true with
+            | () ->
+              Telemetry.Metrics.incr t.m_builds;
+              Telemetry.Metrics.incr t.m_rebuilds;
+              incr swaps
+            | exception Sys_error msg ->
+              (* Parked like a rejected sample: no rebuild loop against a
+                 directory that refuses writes. *)
+              st.rebuild_failed <- Some msg))
         | Error msg, Some _ ->
           Option.iter
             (fun st -> st.rebuild_failed <- Some msg)
@@ -757,9 +845,14 @@ let adaptive_tick ?(wake = fun () -> ()) t =
               Selest.Stored.of_fn ~cells:m.cells ~domain:m.domain (fun ~a ~b ->
                   Feedback.Adaptive.selectivity fb ~a ~b)
             in
-            install_summary t rt name m st (Selest.Stored.Range summary)
-              ~reset_staleness:false;
-            incr swaps)
+            match
+              install_summary t rt name m st (Selest.Stored.Range summary)
+                ~reset_staleness:false
+            with
+            | () -> incr swaps
+            | exception Sys_error _ ->
+              (* Retried after the next [refresh_after_observes]. *)
+              st.observes_since_refresh <- 0)
         | _ -> ())
       rt.states;
     (* 3. Launch at most one background resample rebuild for the first

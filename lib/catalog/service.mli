@@ -3,7 +3,7 @@
 
     This is the layer a plan-time consumer talks to.  Each entry is a
     compact [Selest.Stored] summary built once from a sample (ANALYZE),
-    persisted as an atomic snapshot file ({!Snapshot}), kept hot in an LRU
+    persisted as generation files ({!Snapshot}), kept hot in an LRU
     cache ({!Lru}) while queried, tracked for staleness as the underlying
     relation changes, and rebuilt from a fresh sample when its insert
     budget runs out.  Queries are answered sequentially in the calling
@@ -14,7 +14,11 @@
     the on-disk format and cache-tuning guidance are documented in
     [docs/CATALOG.md].
 
-    A service is single-owner: the cache mutates on reads. *)
+    A service is single-owner: the cache mutates on reads.  Every persist
+    writes the entry's next generation under a fresh name on the owner's
+    thread; a janitor systhread the service starts on demand fsyncs it
+    and unlinks the generation it replaces, then exits once it has
+    nothing left to do.  {!flush} waits for it. *)
 
 type config = {
   capacity : int;  (** max summaries resident in the cache (default 32) *)
@@ -31,9 +35,11 @@ type t
 
 val open_dir : ?config:config -> ?shard:int -> string -> t * (string * string) list
 (** [open_dir dir] opens (creating [dir] if missing) the catalog persisted
-    there and indexes every readable snapshot.  Corrupt snapshot files are
-    skipped and returned as [(file, error)] pairs — recovery never fails
-    the catalog, and the survivors keep serving.  Orphaned
+    there and indexes every entry at its newest generation that loads
+    ({!Snapshot.load_generations}).  Corrupt snapshot files are skipped
+    and returned as [(file, error)] pairs — recovery never fails the
+    catalog, and the survivors keep serving; an entry whose newest
+    generation is torn serves its previous one.  Orphaned
     [{!Snapshot.tmp_extension}] files from writes that died mid-rename are
     swept and reported the same way.  The cache starts cold;
     summaries load on first access.  [shard] tags the service as one
@@ -113,6 +119,10 @@ type info = {
 
 val info : t -> string -> info option
 (** Metadata of one entry ([None] if unknown); no cache activity. *)
+
+val snapshot_file : t -> string -> string option
+(** The path of the file holding the entry's served bits — its newest
+    generation, which changes at every persist ([None] if unknown). *)
 
 val infos : t -> info list
 (** {!info} for every entry, sorted by name. *)
@@ -199,8 +209,18 @@ val invalidate : t -> string -> (unit, string) result
     {!rebuild}.  [Error] on an unknown name. *)
 
 val drop : t -> string -> (unit, string) result
-(** Remove an entry entirely: index, cache and snapshot file.  [Error] on
-    an unknown name. *)
+(** Remove an entry entirely: index, cache and every generation of its
+    snapshot.  A later build of the same name continues above the dropped
+    generations, so a janitor still retiring them never takes the new
+    file.  [Error] on an unknown name. *)
+
+val flush : t -> unit
+(** Wait until every generation this service has written is durable and
+    the generations they replace are unlinked: join the janitor thread,
+    if one is running.  Short-lived processes call it before they exit
+    (an exit without it loses no valid file, only durability and
+    cleanup), and the serving engine calls it on each shard owner at
+    drain, so the dispatcher domain joins. *)
 
 val answer : t -> (string * float * float) array -> float array
 (** [answer t requests] evaluates a batch of [(name, a, b)] range queries
@@ -352,7 +372,11 @@ val adaptive_tick : ?wake:(unit -> unit) -> t -> int
     simply tick periodically.  Returns the number of summaries swapped
     by this call.  A rebuild whose estimator rejects the sample parks
     the entry ([Error] recorded, visible in {!adaptive_stats}) until
-    fresh inserts arrive, rather than hot-looping.  Never raises. *)
+    fresh inserts arrive, rather than hot-looping; so does a rebuild
+    whose snapshot cannot be written.  A refresh whose snapshot cannot
+    be written is retried after [refresh_after_observes] more
+    observations.  Either way the old bits stay served.  Never
+    raises. *)
 
 val adaptive_drain : t -> unit
 (** Retire the adaptive runtime on the owner's way out: join any

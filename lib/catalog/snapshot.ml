@@ -13,24 +13,45 @@ let magic = "selest-catalog v2"
 let magic_v1 = "selest-catalog v1"
 let extension = ".summary"
 
-let file_name name =
-  let buf = Buffer.create (String.length name + 8) in
+(* [file_name] escapes every byte outside [A-Za-z0-9._-], '@' included,
+   so the '@' that introduces a generation number is unambiguous: entry
+   [a@1] is [a%401.summary], never generation 1 of [a]. *)
+let file_name ?(gen = 0) name =
+  if gen < 0 then invalid_arg "Snapshot.file_name: negative generation";
+  let buf = Buffer.create (String.length name + 16) in
   String.iter
     (fun c ->
       match c with
       | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> Buffer.add_char buf c
       | c -> Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
     name;
-  Buffer.contents buf ^ extension
+  if gen > 0 then Printf.bprintf buf "@%d" gen;
+  Buffer.add_string buf extension;
+  Buffer.contents buf
 
-(* Inverse of [file_name]: strip the extension, then percent-decode.
-   Total — a name that is not a percent-encoded snapshot file name
-   (wrong suffix, truncated or non-hex escape) is [None], so directory
-   scans can tell snapshot files from strangers without loading them. *)
-let decode_file_name file =
+(* Inverse of [file_name]: strip the extension and the generation, then
+   percent-decode.  Total — a name that is not a snapshot file name
+   (wrong suffix, truncated or non-hex escape, a generation that is not
+   the decimal [file_name] writes) is [None], so directory scans can
+   tell snapshot files from strangers without loading them. *)
+let decode_generation file =
   if not (Filename.check_suffix file extension) then None
   else begin
     let stem = Filename.chop_suffix file extension in
+    let stem, gen =
+      match String.rindex_opt stem '@' with
+      | None -> (stem, Some 0)
+      | Some i ->
+        let digits = String.sub stem (i + 1) (String.length stem - i - 1) in
+        ( String.sub stem 0 i,
+          if
+            digits <> ""
+            && String.length digits <= 18
+            && digits.[0] <> '0'
+            && String.for_all (fun c -> c >= '0' && c <= '9') digits
+          then int_of_string_opt digits
+          else None )
+    in
     let buf = Buffer.create (String.length stem) in
     let n = String.length stem in
     let hex c =
@@ -54,10 +75,14 @@ let decode_file_name file =
           go (i + 3)
         | _ -> None
     in
-    go 0
+    match gen with
+    | None -> None
+    | Some gen -> Option.map (fun name -> (name, gen)) (go 0)
   end
 
-let path ~dir name = Filename.concat dir (file_name name)
+let decode_file_name file = Option.map fst (decode_generation file)
+
+let path ?gen ~dir name = Filename.concat dir (file_name ?gen name)
 
 (* FNV-1a-64 over [s.[0, len)] read as little-endian 8-byte words (the
    last one zero-padded), then over [len].  Each step is a bijection of
@@ -77,7 +102,7 @@ let checksum s ~len =
   h := Int64.mul (Int64.logxor !h !tail) prime;
   Int64.mul (Int64.logxor !h (Int64.of_int len)) prime
 
-let save ~dir entry =
+let save ?gen ~dir entry =
   if String.contains entry.name '\n' then
     invalid_arg "Snapshot.save: entry name must not contain newlines";
   if String.contains entry.spec '\n' then
@@ -97,20 +122,20 @@ let save ~dir entry =
     (String.length payload);
   Buffer.add_string buf payload;
   let body = Buffer.contents buf in
-  let final = path ~dir entry.name in
+  let final = path ?gen ~dir entry.name in
   let tmp = final ^ ".tmp" in
   let oc = open_out_bin tmp in
-  (try
-     output_string oc body;
-     let sum = Bytes.create 8 in
-     Bytes.set_int64_le sum 0 (checksum body ~len:(String.length body));
-     output_bytes oc sum;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp final
+  try
+    output_string oc body;
+    let sum = Bytes.create 8 in
+    Bytes.set_int64_le sum 0 (checksum body ~len:(String.length body));
+    output_bytes oc sum;
+    close_out oc;
+    Sys.rename tmp final
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 (* [field key line] is the remainder of [line] after "key ", or None. *)
 let field key line =
@@ -241,7 +266,13 @@ let load ~path =
 
 let tmp_extension = extension ^ ".tmp"
 
-let load_dir ?shard ~dir () =
+type generations = {
+  g_name : string;
+  g_top : int;
+  g_served : (int * entry) option;
+}
+
+let load_generations ?shard ~dir () =
   (* Once the catalog is sharded, every skip/sweep message names the
      shard it came from: "a.summary: corrupt" alone is ambiguous when N
      directories each hold an a.summary. *)
@@ -252,8 +283,9 @@ let load_dir ?shard ~dir () =
   in
   let listing = Sys.readdir dir |> Array.to_list |> List.sort String.compare in
   (* A *.summary.tmp file is a write that died between temp-write and
-     rename; its final file (if any) is intact, so the orphan is pure
-     garbage — sweep it, and report the sweep like a corrupt-file skip. *)
+     rename; the generation it was meant to become never existed, so the
+     orphan is pure garbage — sweep it, and report the sweep like a
+     corrupt-file skip. *)
   let orphans =
     List.filter (fun f -> Filename.check_suffix f tmp_extension) listing
     |> List.filter_map (fun f ->
@@ -262,15 +294,99 @@ let load_dir ?shard ~dir () =
            | exception Sys_error msg ->
              Some (f, tag ("orphaned temp file; could not delete: " ^ msg)))
   in
-  let files = List.filter (fun f -> Filename.check_suffix f extension) listing in
-  List.fold_left
-    (fun (ok, skipped) file ->
-      match load ~path:(Filename.concat dir file) with
-      | Ok e -> (e :: ok, skipped)
-      | Error msg -> (ok, (file, tag msg) :: skipped))
-    ([], List.rev orphans) files
-  |> fun (ok, skipped) -> (List.rev ok, List.rev skipped)
+  (* Group every generation under its entry, in file-name order of each
+     entry's first file. *)
+  let groups = Hashtbl.create 16 and order = ref [] and strangers = ref [] in
+  List.iter
+    (fun file ->
+      if Filename.check_suffix file extension then
+        match decode_generation file with
+        | None ->
+          strangers := (file, tag "not a snapshot file name; left in place") :: !strangers
+        | Some (name, gen) -> (
+          match Hashtbl.find_opt groups name with
+          | Some files -> Hashtbl.replace groups name ((gen, file) :: files)
+          | None ->
+            order := name :: !order;
+            Hashtbl.replace groups name [ (gen, file) ]))
+    listing;
+  (* Newest first: the first generation that loads is served, each newer
+     one that does not is reported, and older ones are never read — they
+     are what the janitor had not unlinked yet. *)
+  let scan name =
+    let files = List.sort (fun (a, _) (b, _) -> Int.compare b a) (Hashtbl.find groups name) in
+    let rec newest skipped = function
+      | [] -> (None, skipped)
+      | (gen, file) :: older -> (
+        match load ~path:(Filename.concat dir file) with
+        | Ok e when String.equal e.name name -> (Some (gen, e), skipped)
+        | Ok e ->
+          newest ((file, Printf.sprintf "holds entry %S, not %S" e.name name) :: skipped) older
+        | Error msg -> newest ((file, msg) :: skipped) older)
+    in
+    let served, skipped = newest [] files in
+    let why msg =
+      match served with
+      | Some (gen, _) -> tag (Printf.sprintf "%s; generation %d serves" msg gen)
+      | None -> tag msg
+    in
+    ( { g_name = name; g_top = fst (List.hd files); g_served = served },
+      List.rev_map (fun (file, msg) -> (file, why msg)) skipped )
+  in
+  let found = List.rev_map scan !order in
+  (List.map fst found, orphans @ List.rev !strangers @ List.concat_map snd found)
 
+let load_dir ?shard ~dir () =
+  let found, skipped = load_generations ?shard ~dir () in
+  (List.filter_map (fun g -> Option.map snd g.g_served) found, skipped)
+
+(* Every generation: a dropped entry leaves nothing a reopen could
+   serve.  A file the janitor unlinked first is already gone. *)
 let delete ~dir name =
-  let p = path ~dir name in
-  if Sys.file_exists p then Sys.remove p
+  Array.iter
+    (fun file ->
+      match decode_generation file with
+      | Some (n, _) when String.equal n name -> (
+        let p = Filename.concat dir file in
+        try Sys.remove p with Sys_error _ when not (Sys.file_exists p) -> ())
+      | _ -> ())
+    (Sys.readdir dir)
+
+(* [fsync] through a read-only descriptor: Linux flushes the file's (or
+   directory's) data and metadata whatever the open mode.  [false] on
+   any failure, the file gone included. *)
+let fsync path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+    let ok = match Unix.fsync fd with () -> true | exception Unix.Unix_error _ -> false in
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    ok
+
+let commit ~dir written =
+  let newest = Hashtbl.create 8 in
+  List.iter
+    (fun (name, gen) ->
+      match Hashtbl.find_opt newest name with
+      | Some g when g >= gen -> ()
+      | _ -> Hashtbl.replace newest name gen)
+    written;
+  (* A generation that cannot be made durable (gone: its entry was
+     dropped) replaces nothing. *)
+  Hashtbl.filter_map_inplace
+    (fun name gen -> if fsync (path ~gen ~dir name) then Some gen else None)
+    newest;
+  if Hashtbl.length newest > 0 && fsync dir then
+    match Sys.readdir dir with
+    | exception Sys_error _ -> ()
+    | files ->
+      Array.iter
+        (fun file ->
+          match decode_generation file with
+          | Some (name, gen) -> (
+            match Hashtbl.find_opt newest name with
+            | Some durable when gen < durable -> (
+              try Sys.remove (Filename.concat dir file) with Sys_error _ -> ())
+            | _ -> ())
+          | None -> ())
+        files

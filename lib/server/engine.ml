@@ -635,7 +635,11 @@ let dispatcher_domain t sh () =
     stranded := Queue.pop sh.sh_queue :: !stranded
   done;
   Mutex.unlock sh.sh_m;
-  List.iter (fun job -> complete job (shard_down_reply sh)) (List.rev !stranded)
+  List.iter (fun job -> complete job (shard_down_reply sh)) (List.rev !stranded);
+  (* Last, once no client waits on this shard: the snapshot janitor
+     commits what the shard wrote and exits, so [Domain.join] — which
+     waits for every systhread this domain started — returns. *)
+  Service.flush sh.sh_service
 
 (* Fault-injection hook (tests; see the kill-one-shard drain test):
    stop shard [i]'s dispatcher as if it had died.  Queued jobs drain

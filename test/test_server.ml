@@ -883,6 +883,105 @@ let test_adaptive_insert_observe_e2e () =
      assertion. *)
   check Alcotest.bool "drained" true (Engine.draining engine)
 
+(* A persist that fails on the shard owner (its generation's temp name
+   is taken by a directory) answers that request [Internal]; the entry
+   keeps serving its old bits at its old generation, and every other
+   request is served. *)
+let test_failed_persist_is_internal () =
+  let dir = fresh_dir () in
+  let svc, _ = Service.open_dir dir in
+  build_two svc;
+  let file = Option.get (Service.snapshot_file svc "users/age") in
+  Sys.mkdir (Catalog.Snapshot.path ~gen:1 ~dir "users/age" ^ ".tmp") 0o755;
+  let direct name a b = or_fail (Service.answer_one svc ~name ~a ~b) in
+  let expected = [ direct "users/age" 0.0 30.5; direct "orders/amount" 3.0 40.0 ] in
+  let address = Wire.Unix_socket (sock_path ()) in
+  let engine = Engine.create ~services:[| svc |] address in
+  let server = Thread.create Engine.serve engine in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.initiate_drain engine;
+      Thread.join server)
+    (fun () ->
+      let client = or_fail_client (Client.connect address) in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          expect_refusal Wire.Internal "invalidate whose write fails"
+            (Client.invalidate client "users/age");
+          let served =
+            [
+              or_fail_client (Client.estimate client ~entry:"users/age" ~a:0.0 ~b:30.5);
+              or_fail_client (Client.estimate client ~entry:"orders/amount" ~a:3.0 ~b:40.0);
+            ]
+          in
+          check Alcotest.bool "both entries still serve their bits" true
+            (List.for_all2
+               (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+               expected served);
+          or_fail_client (Client.invalidate client "orders/amount")));
+  check Alcotest.string "the failed entry kept its generation" file
+    (Option.get (Service.snapshot_file svc "users/age"));
+  check Alcotest.bool "the other entry persisted" true
+    (Option.get (Service.info svc "orders/amount")).Service.stale
+
+(* An adaptive engine drained while rebuild swaps are in flight: the
+   drain lands them, each shard's snapshot janitor commits and exits,
+   and the dispatcher domains join (a systhread still running would
+   hold [Domain.join] forever).  Afterwards each entry has one file. *)
+let test_adaptive_drain_joins () =
+  let dir = fresh_dir () in
+  let config = { Service.default_config with Service.rebuild_after_inserts = 64 } in
+  let svc, _ = Service.open_dir ~config dir in
+  build_two svc;
+  let services, _ = Service.open_sharded ~config ~shards:2 dir in
+  Array.iter Service.enable_adaptive services;
+  let address = Wire.Unix_socket (sock_path ()) in
+  let engine = Engine.create ~services address in
+  let server = Thread.create Engine.serve engine in
+  let client = or_fail_client (Client.connect address) in
+  for round = 1 to 4 do
+    List.iter
+      (fun entry ->
+        ignore
+          (or_fail_client
+             (Client.insert client ~entry
+                (Array.init 200 (fun i -> float_of_int ((i * round) mod 61))))))
+      [ "orders/amount"; "users/age" ]
+  done;
+  Client.close client;
+  Engine.initiate_drain engine;
+  let joined = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         Thread.join server;
+         Atomic.set joined true)
+       ());
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while (not (Atomic.get joined)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  check Alcotest.bool "drained, dispatcher domains joined" true (Atomic.get joined);
+  check Alcotest.bool "rebuilds swapped in" true ((Engine.stats engine).Engine.swaps > 0);
+  List.iter
+    (fun name ->
+      let shard = Service.shard_of_name ~shards:2 name in
+      let sdir = Filename.concat dir (Service.shard_dir_name shard) in
+      let files =
+        List.filter
+          (fun f -> Catalog.Snapshot.decode_file_name f = Some name)
+          (Array.to_list (Sys.readdir sdir))
+      in
+      check
+        Alcotest.(list string)
+        (name ^ ": one file, the served one")
+        [ Filename.basename (Option.get (Service.snapshot_file services.(shard) name)) ]
+        files)
+    [ "orders/amount"; "users/age" ];
+  let _, skipped = Service.open_sharded ~config ~shards:2 dir in
+  check Alcotest.int "clean reopen" 0 (List.length skipped)
+
 (* ---------------- rect and join serving ---------------- *)
 
 let rect_points =
@@ -1157,6 +1256,10 @@ let () =
         [
           Alcotest.test_case "insert/observe end to end, background swap, drain" `Quick
             test_adaptive_insert_observe_e2e;
+          Alcotest.test_case "drain with swaps in flight joins every domain" `Quick
+            test_adaptive_drain_joins;
+          Alcotest.test_case "a failed persist answers Internal, the rest serve" `Quick
+            test_failed_persist_is_internal;
         ] );
       ( "rect-join",
         [
