@@ -865,10 +865,12 @@ module Cat = Catalog.Service
    snapshot files through an undersized cache (evictions), reopen the
    directory cold (load-on-open recovery), serve 40 rounds of hot batches,
    then score every entry's answers against exact selectivities, and
-   time 100 persists of one resident entry.  BENCH_results.json gets the
-   serving queries_per_s, the cache_hit_rate, the persist_ms_p50 and
-   persist_ms_max, and each entry's MRE under mre_by_spec. *)
-let bench_catalog () =
+   time 100 persists of one resident entry and what a kernel rebuild
+   costs.  BENCH_results.json gets the serving queries_per_s, the
+   cache_hit_rate, the persist_ms_p50 and persist_ms_max, the
+   kernel_fit_ms, kernel_fit_minor_words and rebuild_ms, and each
+   entry's MRE under mre_by_spec. *)
+let rec bench_catalog () =
   header "catalog: summary serving (build, reopen cold, hot batches)";
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_catalog" in
   if Sys.file_exists dir then
@@ -984,7 +986,73 @@ let bench_catalog () =
   Record.note_extra ~key:"persist_ms_p50" persist_p50;
   Record.note_extra ~key:"persist_ms_max" persist_max;
   Printf.printf "persist: %d record_inserts on %s, p50 %.3f ms, max %.3f ms\n"
-    (Array.length persists) persist_name persist_p50 persist_max
+    (Array.length persists) persist_name persist_p50 persist_max;
+  bench_rebuild_cost dir
+
+(* What an adaptive rebuild of a [kernel] entry costs: the fit of a full
+   1,024-value reservoir (the paper's Epanechnikov kernel with the h-DPI2
+   bandwidth), timed and its minor words counted here, in the bench's own
+   domain (the counter is per domain); then one whole rebuild, from the
+   [adaptive_tick] that copies the sample and queues it on the rebuild
+   domain to the [adaptive_drain] that waits for it and swaps it in.
+   Each figure is the median of 5. *)
+and bench_rebuild_cost dir =
+  let file = "arap1" in
+  let ds = dataset file in
+  let domain = E.domain_of ds in
+  let fit_sample = sample ~n:1024 ds in
+  let spec = Result.get_ok (Est.spec_of_string "kernel") in
+  ignore (Est.build spec ~domain fit_sample);
+  let fits =
+    Array.init 5 (fun _ ->
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        ignore (Sys.opaque_identity (Est.build spec ~domain fit_sample));
+        let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        (ms, Gc.minor_words () -. w0))
+  in
+  let fit_ms = Stats.Quantile.quantile (Array.map fst fits) 0.5 in
+  let fit_words = Stats.Quantile.quantile (Array.map snd fits) 0.5 in
+  (* The pair sums allocate nothing per pair; boxing them again costs
+     millions of words per fit. *)
+  if fit_words >= 100_000.0 then
+    failwith
+      (Printf.sprintf "catalog: a 1024-value kernel fit allocated %.0f minor words (bound 100k)"
+         fit_words);
+  let rdir = Filename.concat dir "rebuild" in
+  let budget = 1024 in
+  let svc, _ =
+    Cat.open_dir ~config:{ Cat.default_config with Cat.rebuild_after_inserts = budget } rdir
+  in
+  let name = file ^ "/kernel" in
+  (match Cat.build svc ~name ~spec:"kernel" ~domain ~sample:(sample ds) with
+  | Ok _ -> ()
+  | Error msg -> failwith (Printf.sprintf "rebuild bench build %s: %s" name msg));
+  Cat.enable_adaptive svc;
+  let rebuilds =
+    Array.init 5 (fun round ->
+        let values = E.sample_of ds ~seed:(Int64.of_int (100 + round)) ~n:budget in
+        (match Cat.insert svc ~name values with
+        | Ok _ -> ()
+        | Error msg -> failwith (Printf.sprintf "rebuild bench insert %s: %s" name msg));
+        let t0 = Unix.gettimeofday () in
+        ignore (Cat.adaptive_tick svc);
+        Cat.adaptive_drain svc;
+        let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        if (Option.get (Cat.info svc name)).Cat.stale then
+          failwith (Printf.sprintf "rebuild bench: %s still stale after the drain" name);
+        ms)
+  in
+  Cat.flush svc;
+  Array.iter (fun f -> Sys.remove (Filename.concat rdir f)) (Sys.readdir rdir);
+  Sys.rmdir rdir;
+  let rebuild_ms = Stats.Quantile.quantile rebuilds 0.5 in
+  Record.note_extra ~key:"kernel_fit_ms" fit_ms;
+  Record.note_extra ~key:"kernel_fit_minor_words" fit_words;
+  Record.note_extra ~key:"rebuild_ms" rebuild_ms;
+  Printf.printf
+    "rebuild: kernel fit of 1024 values %.2f ms, %.0f minor words; adaptive rebuild %.2f ms\n"
+    fit_ms fit_words rebuild_ms
 
 (* ------------------------------------------------------------------ *)
 (* Serve: the network serving layer under closed-loop load             *)

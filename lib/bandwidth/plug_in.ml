@@ -48,7 +48,7 @@ let psi_estimate ~r ~g samples =
     invalid_arg "Plug_in.psi_estimate: g must be positive and finite";
   if Array.length samples = 0 then invalid_arg "Plug_in.psi_estimate: empty sample";
   let xs = Array.copy samples in
-  Array.sort Float.compare xs;
+  Stats.Array_util.float_sort xs;
   psi_estimate_sorted ~r ~g xs
 
 (* The optimal pilot bandwidth for estimating psi_r given psi_(r+2):
@@ -72,17 +72,19 @@ let psi_staged ~sigma ~n xs ~r ~stages =
   in
   go r stages
 
+(* The sorted sample, its robust scale as [Normal_scale.scale] computes
+   it, and that scale made usable as a seed (1 when it degenerates). *)
 let prepared samples name =
   if Array.length samples < 2 then invalid_arg (name ^ ": need at least two samples");
   let xs = Array.copy samples in
-  Array.sort Float.compare xs;
-  let sigma = Stats.Quantile.robust_scale_sorted xs in
-  let sigma = if sigma > 0.0 && Float.is_finite sigma then sigma else 1.0 in
-  (xs, sigma)
+  Stats.Array_util.float_sort xs;
+  let scale = Stats.Quantile.robust_scale_sorted xs in
+  let sigma = if scale > 0.0 && Float.is_finite scale then scale else 1.0 in
+  (xs, scale, sigma)
 
 let functionals ~iterations samples =
   if iterations < 0 then invalid_arg "Plug_in.functionals: iterations must be >= 0";
-  let xs, sigma = prepared samples "Plug_in.functionals" in
+  let xs, _, sigma = prepared samples "Plug_in.functionals" in
   let n = Array.length xs in
   let psi2 = psi_staged ~sigma ~n xs ~r:2 ~stages:iterations in
   let psi4 = psi_staged ~sigma ~n xs ~r:4 ~stages:iterations in
@@ -96,38 +98,47 @@ let staged_bandwidth ?(iterations = 2) ~kernel samples =
   else Amise.optimal_bandwidth ~kernel ~n:(Array.length samples) ~roughness_d2:psi4
 
 (* The paper's iteration: pilot density at the current bandwidth -> its
-   roughness functionals -> next bandwidth.  The pilot is a Gaussian KDE
-   whose bandwidth tracks the Gaussian-kernel AMISE optimum. *)
-let iterated_functionals ~iterations samples =
+   [int f''^2] -> next bandwidth.  The pilot is a Gaussian KDE whose
+   bandwidth tracks the Gaussian-kernel AMISE optimum, refit over one
+   sorted copy of the sample.  Returns the last pilot with the sample's
+   size and robust scale; the caller takes the one functional it needs
+   from that pilot. *)
+let last_pilot ~iterations samples =
   if iterations < 0 then invalid_arg "Plug_in.bandwidth: iterations must be >= 0";
-  let _, sigma = prepared samples "Plug_in.bandwidth" in
-  let n = Array.length samples in
-  let g = ref (Normal_scale.bandwidth ~kernel:Kernels.Kernel.Gaussian ~n ~scale:sigma) in
-  let pilot = ref (Kde.Pilot.create ~h:!g samples) in
+  let xs, scale, sigma = prepared samples "Plug_in.bandwidth" in
+  let n = Array.length xs in
+  let pilot =
+    ref
+      (Kde.Pilot.of_sorted
+         ~h:(Normal_scale.bandwidth ~kernel:Kernels.Kernel.Gaussian ~n ~scale:sigma)
+         xs)
+  in
   for _ = 1 to iterations do
     let psi4 = Kde.Pilot.roughness_deriv2 !pilot in
-    if psi4 > 0.0 && Float.is_finite psi4 then begin
-      g := Amise.optimal_bandwidth ~kernel:Kernels.Kernel.Gaussian ~n ~roughness_d2:psi4;
-      pilot := Kde.Pilot.create ~h:!g samples
-    end
+    if psi4 > 0.0 && Float.is_finite psi4 then
+      pilot :=
+        Kde.Pilot.of_sorted
+          ~h:(Amise.optimal_bandwidth ~kernel:Kernels.Kernel.Gaussian ~n ~roughness_d2:psi4)
+          xs
   done;
-  (Kde.Pilot.roughness_deriv1 !pilot, Kde.Pilot.roughness_deriv2 !pilot)
+  (!pilot, n, scale)
 
 let bandwidth ?(iterations = 2) ~kernel samples =
   if iterations = 0 then Normal_scale.bandwidth_of_samples ~kernel samples
   else begin
-    let _, psi4 = iterated_functionals ~iterations samples in
-    if psi4 <= 0.0 || not (Float.is_finite psi4) then
-      Normal_scale.bandwidth_of_samples ~kernel samples
-    else Amise.optimal_bandwidth ~kernel ~n:(Array.length samples) ~roughness_d2:psi4
+    let pilot, n, scale = last_pilot ~iterations samples in
+    let psi4 = Kde.Pilot.roughness_deriv2 pilot in
+    if psi4 <= 0.0 || not (Float.is_finite psi4) then Normal_scale.bandwidth ~kernel ~n ~scale
+    else Amise.optimal_bandwidth ~kernel ~n ~roughness_d2:psi4
   end
 
 let bin_width ?(iterations = 2) samples =
   if iterations = 0 then Normal_scale.bin_width_of_samples samples
   else begin
-    let d1, _ = iterated_functionals ~iterations samples in
-    if d1 <= 0.0 || not (Float.is_finite d1) then Normal_scale.bin_width_of_samples samples
-    else Amise.optimal_bin_width ~n:(Array.length samples) ~roughness_d1:d1
+    let pilot, n, scale = last_pilot ~iterations samples in
+    let d1 = Kde.Pilot.roughness_deriv1 pilot in
+    if d1 <= 0.0 || not (Float.is_finite d1) then Normal_scale.bin_width ~n ~scale
+    else Amise.optimal_bin_width ~n ~roughness_d1:d1
   end
 
 let bin_count ?(iterations = 2) ~domain:(lo, hi) samples =

@@ -41,8 +41,9 @@ let default_adaptive_config =
   }
 
 (* Per-entry adaptive state, created lazily on the first insert/observe.
-   Confined to the service owner (the shard dispatcher); only the rebuild
-   worker below runs off-thread, and it never touches this record. *)
+   Confined to the service owner (the shard dispatcher); the rebuild
+   domain below runs only a job that closes over a copy of the sample,
+   and never touches this record. *)
 type astate = {
   reservoir : Online.Reservoir.t;
       (* range: attribute values; rect: x coordinates; join: R-side values *)
@@ -55,19 +56,23 @@ type astate = {
   mutable feedback : Feedback.Adaptive.t option;
       (* range entries only: rect/join summaries have no ST-histogram *)
   mutable observes_since_refresh : int;
+  observed : float array;
+      (* range entries only: the last [refresh_after_observes]
+         observations since the last refresh, a ring of (a, b, actual)
+         triples, so a rebuild swap can replay them onto the histogram it
+         reseeds; empty for rect/join entries *)
   mutable rebuild_failed : string option;
       (* last background rebuild error; cleared by fresh inserts so the
          tick does not hot-loop on a sample the estimator rejects *)
 }
 
-(* An in-flight background rebuild.  The worker thread fills [p_result]
-   under [p_m] and fires the wake callback; the owner joins and installs
-   the summary from [adaptive_tick]. *)
+(* A rebuild launched and not yet reaped.  The rebuild domain sets
+   [p_result] once; the owner reads it from [adaptive_tick] and installs
+   the summary. *)
 type pending = {
   p_name : string;
-  p_m : Mutex.t;
-  mutable p_result : (Selest.Stored.any, string) result option;
-  mutable p_thread : Thread.t option;
+  p_inserts : int; (* the entry's insert count when its sample was copied *)
+  p_result : (Selest.Stored.any, string) result option Atomic.t;
 }
 
 type adaptive_rt = {
@@ -75,6 +80,128 @@ type adaptive_rt = {
   states : (string, astate) Hashtbl.t;
   mutable pending : pending option;
 }
+
+(* ---------------- the rebuild domain ---------------- *)
+
+(* Every service in the process queues its rebuilds on one long-lived
+   domain, spawned by the first launch and stopped and joined at exit.
+   A rebuild is a kernel refit of up to [reservoir_capacity] values; on
+   the owner's domain, even in a systhread of its own, it would hold
+   that domain's runtime lock, and with it every read of the shard, for
+   the whole fit.  The domain runs jobs in launch order, one at a time,
+   and turns whatever a job raises into an [Error] the owner parks, so
+   its loop never dies. *)
+type rebuild_job = {
+  r_run : unit -> (Selest.Stored.any, string) result;
+  r_pending : pending;
+  r_wake : unit -> unit;
+}
+
+type rebuilder = {
+  r_m : Mutex.t;
+  r_work : Condition.t; (* a job was queued, or [r_stop] set *)
+  r_done : Condition.t; (* some job's [p_result] was set *)
+  r_jobs : rebuild_job Queue.t;
+  mutable r_stop : bool;
+  mutable r_domain : unit Domain.t option;
+}
+
+let rebuilder =
+  {
+    r_m = Mutex.create ();
+    r_work = Condition.create ();
+    r_done = Condition.create ();
+    r_jobs = Queue.create ();
+    r_stop = false;
+    r_domain = None;
+  }
+
+(* The domain's own minor heap, in words.  Every domain's minor heap is
+   resident memory once touched, and a kernel rebuild allocates ~160k
+   words (2k in the fit, the rest in [Stored.of_estimator]), so the
+   256k-word default would cost the server ~2 MiB for a domain that is
+   idle between rebuilds.  Smaller is worse: each minor collection stops
+   every domain, the dispatchers too, and at 8k words p99 reads on a
+   rebuilding shard tripled while RSS did not fall.  Set from inside the
+   domain, so it is that domain's alone. *)
+let rebuild_minor_heap_words = 32_768
+
+let finish (p : pending) result =
+  Atomic.set p.p_result (Some result);
+  Mutex.lock rebuilder.r_m;
+  Condition.broadcast rebuilder.r_done;
+  Mutex.unlock rebuilder.r_m
+
+let rec rebuild_loop () =
+  Mutex.lock rebuilder.r_m;
+  while Queue.is_empty rebuilder.r_jobs && not rebuilder.r_stop do
+    Condition.wait rebuilder.r_work rebuilder.r_m
+  done;
+  let job = Queue.take_opt rebuilder.r_jobs in
+  Mutex.unlock rebuilder.r_m;
+  match job with
+  | None -> () (* stopped *)
+  | Some j ->
+    finish j.r_pending (try j.r_run () with e -> Error (Printexc.to_string e));
+    (try j.r_wake () with _ -> ());
+    rebuild_loop ()
+
+let exiting = "the process is exiting"
+
+(* At exit: jobs not started are answered with an error (nobody is left
+   to install them, and a drain must not wait on them), the running one
+   finishes, and the domain is joined. *)
+let stop_rebuilder () =
+  Mutex.lock rebuilder.r_m;
+  rebuilder.r_stop <- true;
+  let queued = List.of_seq (Queue.to_seq rebuilder.r_jobs) in
+  Queue.clear rebuilder.r_jobs;
+  let d = rebuilder.r_domain in
+  rebuilder.r_domain <- None;
+  Condition.broadcast rebuilder.r_work;
+  Mutex.unlock rebuilder.r_m;
+  List.iter (fun j -> finish j.r_pending (Error ("rebuild not run: " ^ exiting))) queued;
+  Option.iter Domain.join d
+
+(* Queue [job], spawning the domain on the first call.  A job that
+   cannot run is answered at once with an error, which the owner's next
+   tick parks like a rejected sample. *)
+let submit_rebuild job =
+  Mutex.lock rebuilder.r_m;
+  let refused =
+    match rebuilder.r_domain with
+    | Some _ -> None
+    | None when rebuilder.r_stop -> Some exiting
+    | None -> (
+      let main () =
+        Gc.set { (Gc.get ()) with Gc.minor_heap_size = rebuild_minor_heap_words };
+        rebuild_loop ()
+      in
+      match Domain.spawn main with
+      | d ->
+        rebuilder.r_domain <- Some d;
+        at_exit stop_rebuilder;
+        None
+      | exception e -> Some ("the rebuild domain could not start: " ^ Printexc.to_string e))
+  in
+  if refused = None then begin
+    Queue.add job rebuilder.r_jobs;
+    Condition.signal rebuilder.r_work
+  end;
+  Mutex.unlock rebuilder.r_m;
+  Option.iter
+    (fun msg ->
+      finish job.r_pending (Error ("rebuild not run: " ^ msg));
+      job.r_wake ())
+    refused
+
+(* Block until the rebuild domain has answered [p]. *)
+let await (p : pending) =
+  Mutex.lock rebuilder.r_m;
+  while Atomic.get p.p_result = None do
+    Condition.wait rebuilder.r_done rebuilder.r_m
+  done;
+  Mutex.unlock rebuilder.r_m
 
 (* The off-owner half of a persist.  The owner hands every generation
    it writes to a janitor systhread, started on demand, that runs
@@ -608,6 +735,7 @@ let adaptive_state t rt name (m : meta) =
     | exception Invalid_argument msg -> Error msg
     | summary ->
       let seed = Int64.logxor rt.acfg.adaptive_seed (fnv1a name) in
+      let feedback = seed_feedback rt m summary in
       let st =
         {
           reservoir =
@@ -616,8 +744,11 @@ let adaptive_state t rt name (m : meta) =
             (if m.kind = Selest.Stored.Rect_kind then
                Some (Online.Reservoir.create ~seed ~capacity:rt.acfg.reservoir_capacity ())
              else None);
-          feedback = seed_feedback rt m summary;
+          feedback;
           observes_since_refresh = 0;
+          observed =
+            (if feedback = None then [||]
+             else Array.make (3 * rt.acfg.refresh_after_observes) 0.0);
           rebuild_failed = None;
         }
       in
@@ -689,6 +820,10 @@ let observe t ~name ~a ~b ~actual =
                  name (Selest.Stored.kind_name m.kind))
           | Some fb ->
             Feedback.Adaptive.observe fb ~a ~b ~actual;
+            let k = 3 * (st.observes_since_refresh mod rt.acfg.refresh_after_observes) in
+            st.observed.(k) <- a;
+            st.observed.(k + 1) <- b;
+            st.observed.(k + 2) <- actual;
             st.observes_since_refresh <- st.observes_since_refresh + 1;
             Telemetry.Metrics.incr t.m_observations;
             Ok (Feedback.Adaptive.selectivity fb ~a ~b))))
@@ -699,28 +834,49 @@ let observe t ~name ~a ~b ~actual =
    served.  The swap happens entirely in the owner between [answer_into]
    calls — a read sees the old bits or the new bits, never a torn mix —
    and the snapshot goes first, so a failed write raises with the old
-   bits still served. *)
-let install_summary t rt name (m : meta) (st : astate) summary ~reset_staleness =
-  let inserts, stale = if reset_staleness then (0, false) else (m.inserts, m.stale) in
+   bits still served.
+
+   A refresh swap ([rebuilt = None]) bakes every pending observation
+   into [summary], so the reseeded histogram starts from zero.  A
+   rebuild swap ([rebuilt = Some launched], the insert count its sample
+   was copied at) keeps what its sample did not see: the inserts since
+   [launched] stay counted, and spend the budget again if they cover it,
+   and the observations since the last refresh are replayed, oldest
+   first, onto the histogram reseeded from the rebuilt summary. *)
+let install_summary t rt name (m : meta) (st : astate) summary ~rebuilt =
+  let inserts, stale =
+    match rebuilt with
+    | None -> (m.inserts, m.stale)
+    | Some launched ->
+      let since = Int.max 0 (m.inserts - launched) in
+      (since, since >= t.config.rebuild_after_inserts)
+  in
   write_next t name m ~inserts ~stale summary;
   Lru.add t.cache name summary;
   m.cells <- Selest.Stored.any_cells summary;
   m.inserts <- inserts;
   m.stale <- stale;
   st.feedback <- seed_feedback rt m summary;
-  st.observes_since_refresh <- 0;
+  (match (rebuilt, st.feedback) with
+  | Some _, Some fb ->
+    let cap = rt.acfg.refresh_after_observes and seen = st.observes_since_refresh in
+    let kept = Int.min seen cap in
+    for i = seen - kept to seen - 1 do
+      let k = 3 * (i mod cap) in
+      Feedback.Adaptive.observe fb ~a:st.observed.(k) ~b:st.observed.(k + 1)
+        ~actual:st.observed.(k + 2)
+    done
+  | _ -> st.observes_since_refresh <- 0);
   Telemetry.Metrics.incr t.m_swaps
 
-(* The worker closes over its own copy of the reservoir sample and the
+(* The job closes over its own copy of the reservoir sample and the
    entry's immutable build inputs — it never touches service state.  The
-   (cheap) snapshot copy happens here in the owner.  What a rebuild means
+   (cheap) sample copy happens here in the owner, and so does the
+   reading of a join entry's current summary.  What a rebuild means
    is kind-specific: range refits the spec on the sample; rect re-grids
    the paired reservoirs; join re-buckets the R side from its reservoir
    while keeping the summarized S side (inserts stream into R). *)
 let launch_rebuild t rt name (m : meta) (st : astate) wake =
-  let p =
-    { p_name = name; p_m = Mutex.create (); p_result = None; p_thread = None }
-  in
   let job : unit -> (Selest.Stored.any, string) result =
     match m.kind with
     | Selest.Stored.Range_kind ->
@@ -783,15 +939,9 @@ let launch_rebuild t rt name (m : meta) (st : astate) wake =
           | join -> Ok (Selest.Stored.Join join)
           | exception Invalid_argument msg -> Error msg))
   in
+  let p = { p_name = name; p_inserts = m.inserts; p_result = Atomic.make None } in
   rt.pending <- Some p;
-  let worker () =
-    let result = job () in
-    Mutex.lock p.p_m;
-    p.p_result <- Some result;
-    Mutex.unlock p.p_m;
-    wake ()
-  in
-  p.p_thread <- Some (Thread.create worker ())
+  submit_rebuild { r_run = job; r_pending = p; r_wake = wake }
 
 let adaptive_tick ?(wake = fun () -> ()) t =
   match t.adaptive with
@@ -801,16 +951,9 @@ let adaptive_tick ?(wake = fun () -> ()) t =
     (* 1. Reap a finished background rebuild and swap it in. *)
     (match rt.pending with
     | Some p ->
-      let result =
-        Mutex.lock p.p_m;
-        let r = p.p_result in
-        Mutex.unlock p.p_m;
-        r
-      in
-      (match result with
-      | None -> () (* still running *)
+      (match Atomic.get p.p_result with
+      | None -> () (* queued or running *)
       | Some r ->
-        Option.iter Thread.join p.p_thread;
         rt.pending <- None;
         (match (r, Hashtbl.find_opt t.index p.p_name) with
         | _, None -> () (* entry dropped while rebuilding; discard *)
@@ -818,7 +961,7 @@ let adaptive_tick ?(wake = fun () -> ()) t =
           (match Hashtbl.find_opt rt.states p.p_name with
           | None -> ()
           | Some st -> (
-            match install_summary t rt p.p_name m st summary ~reset_staleness:true with
+            match install_summary t rt p.p_name m st summary ~rebuilt:(Some p.p_inserts) with
             | () ->
               Telemetry.Metrics.incr t.m_builds;
               Telemetry.Metrics.incr t.m_rebuilds;
@@ -846,8 +989,7 @@ let adaptive_tick ?(wake = fun () -> ()) t =
                   Feedback.Adaptive.selectivity fb ~a ~b)
             in
             match
-              install_summary t rt name m st (Selest.Stored.Range summary)
-                ~reset_staleness:false
+              install_summary t rt name m st (Selest.Stored.Range summary) ~rebuilt:None
             with
             | () -> incr swaps
             | exception Sys_error _ ->
@@ -878,16 +1020,14 @@ let adaptive_tick ?(wake = fun () -> ()) t =
     end;
     !swaps
 
-(* Joining first guarantees [p_result] is set (the worker stores it
-   before exiting), so the final tick always reaps — no rebuild is ever
-   abandoned mid-flight by an orderly shutdown. *)
+(* Waiting first guarantees [p_result] is set, so the final tick always
+   reaps — no rebuild is ever abandoned mid-flight by an orderly
+   shutdown. *)
 let adaptive_drain t =
   match t.adaptive with
   | None -> ()
   | Some rt ->
-    (match rt.pending with
-    | Some p -> Option.iter Thread.join p.p_thread
-    | None -> ());
+    Option.iter await rt.pending;
     ignore (adaptive_tick t)
 
 type adaptive_stats = {

@@ -293,8 +293,13 @@ val cache_stats : t -> Lru.stats
 
     Like the rest of the service these functions are single-owner: the
     serving engine confines them to the entry's shard dispatcher.  Only
-    the rebuild worker launched by {!adaptive_tick} runs on its own
-    thread, and it touches nothing but its private sample copy. *)
+    a rebuild runs elsewhere: on one rebuild domain per process, spawned
+    by the first launch (with its own 32k-word minor heap) and stopped
+    and joined at exit, where the rebuilds of every service and shard
+    queue and run one at a time in launch order.  A rebuild job touches
+    nothing but its private copy of the sample, so a long kernel refit
+    never holds the owner's domain: the owner only copies the sample at
+    launch and swaps the result in at reap. *)
 
 type adaptive_config = {
   reservoir_capacity : int;
@@ -304,7 +309,9 @@ type adaptive_config = {
           (default 64) *)
   refresh_after_observes : int;
       (** bake the feedback histogram into a served summary every this
-          many observations (default 256) *)
+          many observations (default 256); each range entry also keeps
+          that many observations (24 bytes each) to replay across a
+          rebuild swap *)
   learning_rate : float;
       (** ST-histogram error absorption per observation, in (0, 1]
           (default 0.5) *)
@@ -358,19 +365,25 @@ val observe :
 
 val adaptive_tick : ?wake:(unit -> unit) -> t -> int
 (** One step of the maintenance loop; the serving engine calls this
-    between batches.  In order: (1) if a background rebuild has
-    finished, join it and atomically swap its summary in (cache,
-    metadata and snapshot move together; the entry's staleness resets
-    and its feedback histogram reseeds from the new version); (2) bake
-    every feedback histogram with [refresh_after_observes] pending
-    observations into a swapped summary, synchronously; (3) if no
-    rebuild is in flight, launch one worker thread for the first stale
-    entry (sorted order) whose reservoir holds at least
-    [min_rebuild_sample] values.  [wake] is handed to that worker and
-    fired (from the worker thread) when its result is ready, so an idle
-    caller can re-tick promptly; the default does nothing — callers may
-    simply tick periodically.  Returns the number of summaries swapped
-    by this call.  A rebuild whose estimator rejects the sample parks
+    between batches.  In order: (1) if the rebuild domain has finished
+    this service's rebuild, atomically swap its summary in (cache,
+    metadata and snapshot move together).  The swap keeps what the
+    rebuild's sample did not see: the entry's insert count becomes the
+    inserts since the launch, and the entry turns stale again if those
+    cover [rebuild_after_inserts]; the feedback histogram reseeds from
+    the new version and the observations since the last refresh (up to
+    [refresh_after_observes] of them) are replayed onto it, still
+    counting toward the next refresh.  (2) Bake every feedback
+    histogram with [refresh_after_observes] pending observations into a
+    swapped summary, synchronously; a refresh swap starts the count
+    from zero.  (3) If no rebuild is in flight, copy the reservoir
+    sample of the first stale entry (sorted order) that holds at least
+    [min_rebuild_sample] values and queue its rebuild on the rebuild
+    domain.  [wake] goes with the job and is called on the rebuild
+    domain once its result is ready, so an idle caller can re-tick
+    promptly; the default does nothing — callers may simply tick
+    periodically.  Returns the number of summaries swapped by this
+    call.  A rebuild whose estimator rejects the sample parks
     the entry ([Error] recorded, visible in {!adaptive_stats}) until
     fresh inserts arrive, rather than hot-looping; so does a rebuild
     whose snapshot cannot be written.  A refresh whose snapshot cannot
@@ -379,8 +392,9 @@ val adaptive_tick : ?wake:(unit -> unit) -> t -> int
     raises. *)
 
 val adaptive_drain : t -> unit
-(** Retire the adaptive runtime on the owner's way out: join any
-    in-flight rebuild worker, then run a final {!adaptive_tick} so its
+(** Retire the adaptive runtime on the owner's way out: wait until the
+    rebuild domain has finished this service's in-flight rebuild (and
+    any queued ahead of it), then run a final {!adaptive_tick} so its
     result is swapped in (and persisted) rather than discarded.  A
     no-op when adaptivity is disabled or nothing is pending. *)
 
@@ -388,7 +402,10 @@ type adaptive_stats = {
   tracked_entries : int;  (** entries with live adaptive state *)
   sampled_values : int;  (** lifetime values offered across reservoirs *)
   observations : int;  (** feedback observations absorbed *)
-  rebuild_in_flight : bool;  (** a background rebuild worker is running *)
+  rebuild_in_flight : bool;
+      (** a rebuild was launched and not yet reaped: queued or running on
+          the rebuild domain, or finished and waiting for the next
+          {!adaptive_tick} *)
   last_rebuild_error : string option;
       (** first parked rebuild failure, if any *)
 }

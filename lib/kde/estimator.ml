@@ -37,7 +37,7 @@ let create ?(kernel = K.Epanechnikov) ?(boundary = No_treatment) ~domain:(lo, hi
       invalid_arg "Kde.Estimator.create: boundary kernels require 2h <= domain width"
   | No_treatment | Reflection -> ());
   let xs = Array.map (fun x -> Float.max lo (Float.min hi x)) samples in
-  Array.sort Float.compare xs;
+  Stats.Array_util.float_sort xs;
   let rh = K.effective_radius kernel *. h in
   let refl_left, refl_right =
     match boundary with
@@ -52,8 +52,8 @@ let create ?(kernel = K.Epanechnikov) ?(boundary = No_treatment) ~domain:(lo, hi
       in
       let ml = Array.map (fun x -> (2.0 *. lo) -. x) left in
       let mr = Array.map (fun x -> (2.0 *. hi) -. x) right in
-      Array.sort Float.compare ml;
-      Array.sort Float.compare mr;
+      Stats.Array_util.float_sort ml;
+      Stats.Array_util.float_sort mr;
       (ml, mr)
     | No_treatment | Boundary_kernels -> ([||], [||])
   in

@@ -15,6 +15,13 @@ val create : h:float -> float array -> t
 (** [create ~h samples] sorts a copy of [samples].
     @raise Invalid_argument if [h <= 0] or the sample is empty. *)
 
+val of_sorted : h:float -> float array -> t
+(** [of_sorted ~h xs] is {!create} over a sample already sorted the way
+    {!Stats.Array_util.float_sort} sorts it.  [xs] is shared, neither
+    copied nor checked: the plug-in bandwidth iteration refits its pilot
+    at several bandwidths over one sorted copy.
+    @raise Invalid_argument if [h <= 0] or the sample is empty. *)
+
 val bandwidth : t -> float
 (** The pilot's Gaussian bandwidth [h]. *)
 
@@ -28,7 +35,9 @@ val deriv2 : t -> float -> float
 (** Second derivative [f_hat''(x)] — the change-point detector's signal. *)
 
 val roughness_deriv1 : t -> float
-(** Exact [int (f_hat')^2 dx = -(1/n^2) sum_ij phi''_{sqrt2 h}(X_i - X_j)]. *)
+(** Exact [int (f_hat')^2 dx = -(1/n^2) sum_ij phi''_{sqrt2 h}(X_i - X_j)].
+    One pass over the sorted pairs within the cutoff, allocating nothing
+    per pair. *)
 
 val roughness_deriv2 : t -> float
 (** Exact [int (f_hat'')^2 dx = (1/n^2) sum_ij phi''''_{sqrt2 h}(X_i - X_j)]. *)

@@ -134,6 +134,11 @@ type shard = {
      nobody will ever pop. *)
   sh_stop : bool Atomic.t;
   sh_down : bool Atomic.t;
+  mutable sh_poked : bool;
+      (* under [sh_m]: a rebuild result is ready and no [next_jobs] has
+         returned since.  The rebuild domain runs in parallel, so it can
+         finish before the dispatcher reaches its wait; the flag keeps
+         that wake from being lost. *)
   mutable sh_domain : unit Domain.t option;
   sh_batches : int Atomic.t;
   sh_batched_queries : int Atomic.t;
@@ -215,6 +220,7 @@ let create ?(config = default_config) ~services address =
           sh_mb = { mb_names = [||]; mb_a = [||]; mb_b = [||]; mb_out = [||] };
           sh_stop = Atomic.make false;
           sh_down = Atomic.make false;
+          sh_poked = false;
           sh_domain = None;
           sh_batches = Atomic.make 0;
           sh_batched_queries = Atomic.make 0;
@@ -320,8 +326,8 @@ let unknown_entry name =
     { code = Wire.Unknown_entry; message = Printf.sprintf "unknown catalog entry %S" name }
 
 (* Pop the shard's next batch: blocks until a job arrives, the stop flag
-   is raised, or the shard's condition is poked (an adaptive rebuild
-   worker finishing), then takes queued jobs up to [max_batch] merged
+   is raised, or the shard is poked (an adaptive rebuild finishing, now
+   or since the last call), then takes queued jobs up to [max_batch] merged
    queries (the first job is always taken whole, so an oversized client
    batch still dispatches).  A single [Condition.wait] rather than a
    wait loop: returning [] on a wake with an empty queue is exactly what
@@ -329,8 +335,9 @@ let unknown_entry name =
    sleeping on the swap until the next request. *)
 let next_jobs t sh =
   Mutex.lock sh.sh_m;
-  if Queue.is_empty sh.sh_queue && not (Atomic.get sh.sh_stop) then
+  if Queue.is_empty sh.sh_queue && (not (Atomic.get sh.sh_stop)) && not sh.sh_poked then
     Condition.wait sh.sh_c sh.sh_m;
+  sh.sh_poked <- false;
   let jobs = ref [] in
   let merged = ref 0 in
   let full = ref false in
@@ -595,11 +602,12 @@ let dispatcher_domain t sh () =
   (try
      (* Adaptive maintenance interleaves with batches: a tick after every
         dispatch, plus one on each wake with an empty queue — the rebuild
-        worker pokes [sh_c] when its result is ready, so the swap lands
-        promptly even on an idle shard.  [wake] runs on the worker thread
-        and only touches the shard's mutex/condition. *)
+        domain pokes the shard when its result is ready, so the swap
+        lands promptly even on an idle shard.  [wake] runs on the rebuild
+        domain and only touches the shard's mutex/condition. *)
      let wake () =
        Mutex.lock sh.sh_m;
+       sh.sh_poked <- true;
        Condition.broadcast sh.sh_c;
        Mutex.unlock sh.sh_m
      in

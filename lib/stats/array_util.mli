@@ -1,4 +1,5 @@
-(** Utilities over sorted arrays: binary searches and order checks.
+(** Utilities over sorted arrays: binary searches, order checks, and the
+    float sort the estimators build their sorted samples with.
 
     All searches assume the array is sorted in non-decreasing order; this is
     asserted in debug builds but not checked in release code since the hot
@@ -53,3 +54,10 @@ val int_lower_bound : int array -> int -> int
 
 val int_upper_bound : int array -> int -> int
 (** {!upper_bound} specialized to ints. *)
+
+val float_sort : float array -> unit
+(** [float_sort a] sorts [a] in place exactly as [Array.sort Float.compare a]
+    does — the same heap sort, the same comparisons, so the same
+    permutation, NaNs first and [-0.0]/[0.0] left in the order that sort
+    leaves them — without boxing an element per comparison.  The plug-in
+    bandwidth fit and the kernel estimator sort their samples with it. *)

@@ -169,6 +169,141 @@ let test_plug_in_validation () =
     (Invalid_argument "Plug_in.functionals: iterations must be >= 0") (fun () ->
       ignore (PI.functionals ~iterations:(-1) (normal_sample 1L 10)))
 
+(* The plug-in fit as it stood before its pair sums were unboxed: each
+   kernel derivative reaches the pair loop as a closure, every pilot
+   sorts its own copy, and both functionals of the last pilot are
+   computed.  [Kde.Pilot] and [Plug_in] must reproduce it bit for bit. *)
+module Closure_fit = struct
+  let cutoff = 8.0
+
+  let pair_sum xs s g =
+    let n = Array.length xs in
+    let r = cutoff *. s in
+    let acc = ref (float_of_int n *. g 0.0) in
+    for i = 0 to n - 1 do
+      let j = ref (i + 1) in
+      while !j < n && xs.(!j) -. xs.(i) <= r do
+        acc := !acc +. (2.0 *. g ((xs.(!j) -. xs.(i)) /. s));
+        incr j
+      done
+    done;
+    !acc /. float_of_int (n * n)
+
+  let sorted samples =
+    let xs = Array.copy samples in
+    Array.sort Float.compare xs;
+    xs
+
+  (* A pilot is its bandwidth and its own sorted copy, as [Pilot.create]
+     made it; it raised on a bandwidth that is not positive and finite. *)
+  let pilot ~h samples =
+    if h <= 0.0 || not (Float.is_finite h) then invalid_arg "pilot";
+    (h, sorted samples)
+
+  let roughness_deriv1 (h, xs) =
+    let s = Float.sqrt 2.0 *. h in
+    let g u = ((u *. u) -. 1.0) *. Stats.Special.normal_pdf u in
+    -.(pair_sum xs s g /. (s ** 3.0))
+
+  let roughness_deriv2 (h, xs) =
+    let s = Float.sqrt 2.0 *. h in
+    let g u =
+      let u2 = u *. u in
+      ((u2 *. u2) -. (6.0 *. u2) +. 3.0) *. Stats.Special.normal_pdf u
+    in
+    pair_sum xs s g /. (s ** 5.0)
+
+  let iterated_functionals ~iterations samples =
+    let xs = sorted samples in
+    let sigma = Stats.Quantile.robust_scale_sorted xs in
+    let sigma = if sigma > 0.0 && Float.is_finite sigma then sigma else 1.0 in
+    let n = Array.length samples in
+    let g = ref (NS.bandwidth ~kernel:K.Gaussian ~n ~scale:sigma) in
+    let p = ref (pilot ~h:!g samples) in
+    for _ = 1 to iterations do
+      let psi4 = roughness_deriv2 !p in
+      if psi4 > 0.0 && Float.is_finite psi4 then begin
+        g := A.optimal_bandwidth ~kernel:K.Gaussian ~n ~roughness_d2:psi4;
+        p := pilot ~h:!g samples
+      end
+    done;
+    (roughness_deriv1 !p, roughness_deriv2 !p)
+
+  let bandwidth ~iterations ~kernel samples =
+    let _, psi4 = iterated_functionals ~iterations samples in
+    if psi4 <= 0.0 || not (Float.is_finite psi4) then NS.bandwidth_of_samples ~kernel samples
+    else A.optimal_bandwidth ~kernel ~n:(Array.length samples) ~roughness_d2:psi4
+
+  let bin_width ~iterations samples =
+    let d1, _ = iterated_functionals ~iterations samples in
+    if d1 <= 0.0 || not (Float.is_finite d1) then NS.bin_width_of_samples samples
+    else A.optimal_bin_width ~n:(Array.length samples) ~roughness_d1:d1
+end
+
+(* A result's bits, or the fact that it was refused. *)
+let outcome f =
+  match f () with
+  | v -> Ok (Int64.bits_of_float v)
+  | exception Invalid_argument _ -> Error ()
+
+(* Samples of 2-160 values: constant, heavy ties (7 distinct values), or
+   spread out; each scaled by 10^e for e in [-300, 300]. *)
+let fit_sample =
+  let open QCheck.Gen in
+  let* n = frequency [ (1, return 2); (4, int_range 2 160) ] in
+  let* scale = map (fun e -> 10.0 ** float_of_int e) (int_range (-300) 300) in
+  let* shape = int_range 0 3 in
+  match shape with
+  | 0 -> return (Array.make n (3.0 *. scale))
+  | 1 -> array_size (return n) (map (fun k -> scale *. float_of_int k) (int_range (-3) 3))
+  | _ -> array_size (return n) (map (fun x -> scale *. x) (float_range (-1.0) 1.0))
+
+let print_sample a =
+  String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") a))
+
+let prop_pilot_roughness_bits =
+  QCheck.Test.make ~name:"pilot roughness bit-equal" ~count:300
+    (QCheck.make
+       ~print:(fun (a, h) -> Printf.sprintf "h=%h [%s]" h (print_sample a))
+       QCheck.Gen.(
+         let* a = fit_sample in
+         let spread = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 a in
+         let* k = int_range (-3) 3 in
+         let h = (if spread > 0.0 then spread else 1.0) *. (10.0 ** float_of_int k) in
+         return (a, h)))
+    (fun (a, h) ->
+      let p = Kde.Pilot.create ~h a and c = Closure_fit.pilot ~h a in
+      outcome (fun () -> Kde.Pilot.roughness_deriv1 p)
+      = outcome (fun () -> Closure_fit.roughness_deriv1 c)
+      && outcome (fun () -> Kde.Pilot.roughness_deriv2 p)
+         = outcome (fun () -> Closure_fit.roughness_deriv2 c))
+
+let prop_plug_in_fit_bits =
+  QCheck.Test.make ~name:"plug-in fit bit-equal" ~count:300
+    (QCheck.make
+       ~print:(fun (a, i) -> Printf.sprintf "iterations=%d [%s]" i (print_sample a))
+       QCheck.Gen.(pair fit_sample (int_range 1 3)))
+    (fun (a, iterations) ->
+      outcome (fun () -> PI.bandwidth ~iterations ~kernel:K.Epanechnikov a)
+      = outcome (fun () -> Closure_fit.bandwidth ~iterations ~kernel:K.Epanechnikov a)
+      && outcome (fun () -> PI.bin_width ~iterations a)
+         = outcome (fun () -> Closure_fit.bin_width ~iterations a))
+
+(* The paper's [kernel] spec (Epanechnikov, h-DPI2) fit on a full
+   1,024-value reservoir.  With the derivative behind a closure the pair
+   sums boxed ~10M words; unboxed, the fit allocates a few thousand. *)
+let test_kernel_fit_allocation () =
+  let sample = bimodal_sample 24L 1024 in
+  let spec = Result.get_ok (Selest.Estimator.spec_of_string "kernel") in
+  let domain = (-8.0, 8.0) in
+  ignore (Selest.Estimator.build spec ~domain sample);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Selest.Estimator.build spec ~domain sample));
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words < 100k" words)
+    true (words < 100_000.0)
+
 (* --- LSCV --- *)
 
 let test_lscv_objective_shape () =
@@ -336,6 +471,9 @@ let () =
             test_plug_in_functionals_near_normal_truth;
           Alcotest.test_case "bin count" `Quick test_plug_in_bin_count_reasonable;
           Alcotest.test_case "validation" `Quick test_plug_in_validation;
+          QCheck_alcotest.to_alcotest prop_pilot_roughness_bits;
+          QCheck_alcotest.to_alcotest prop_plug_in_fit_bits;
+          Alcotest.test_case "kernel fit allocation" `Quick test_kernel_fit_allocation;
         ] );
       ( "lscv",
         [

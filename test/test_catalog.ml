@@ -828,6 +828,12 @@ let test_join_estimate_alloc () =
     done;
     (Gc.minor_words () -. w0) /. float_of_int calls
   in
+  (* Counted on a domain of its own: [Gc.minor_words] is per domain, and
+     the snapshot janitor threads that earlier tests' services leave
+     committing allocate on this one. *)
+  let words_per_call buckets pred =
+    Domain.join (Domain.spawn (fun () -> words_per_call buckets pred))
+  in
   List.iter
     (fun pred ->
       let small = words_per_call 4 pred and large = words_per_call 64 pred in
@@ -1043,6 +1049,120 @@ let test_adaptive_crash_bound () =
     (Option.get (Service.info svc2 "orders/amount")).Service.stale;
   check Alcotest.bool "no second rebuild" false
     (Service.adaptive_stats svc2).Service.rebuild_in_flight
+
+let served_summary svc name =
+  (or_fail (Snapshot.load ~path:(Option.get (Service.snapshot_file svc name)))).Snapshot.summary
+
+(* A rebuild's sample is copied at launch, so the inserts that arrive
+   while it runs are not in it: the swap keeps them counted, and they
+   turn the entry stale again once they cover the budget. *)
+let test_adaptive_rebuild_keeps_late_inserts () =
+  let dir = fresh_dir () in
+  let budget = 100 in
+  let config = { Service.default_config with Service.rebuild_after_inserts = budget } in
+  let svc, _ = Service.open_dir ~config dir in
+  let name = "orders/amount" in
+  ignore (or_fail (Service.build svc ~name ~spec:"ewh:16" ~domain:domain_a ~sample:sample_a));
+  Service.enable_adaptive svc;
+  let values k = Array.init k (fun i -> float_of_int (i * 7 mod 97)) in
+  let inserts () = (Option.get (Service.info svc name)).Service.inserts in
+  let stale () = (Option.get (Service.info svc name)).Service.stale in
+  ignore (or_fail (Service.insert svc ~name (values budget)));
+  check Alcotest.bool "the budget trips" true (stale ());
+  check Alcotest.int "launch tick swaps nothing" 0 (Service.adaptive_tick svc);
+  ignore (or_fail (Service.insert svc ~name (values 40)));
+  Service.adaptive_drain svc;
+  check Alcotest.int "inserts after the launch stay counted" 40 (inserts ());
+  check Alcotest.bool "below the budget: fresh" false (stale ());
+  ignore (or_fail (Service.insert svc ~name (values 60)));
+  check Alcotest.bool "40 + 60 trips it again" true (stale ());
+  check Alcotest.int "launch tick swaps nothing" 0 (Service.adaptive_tick svc);
+  ignore (or_fail (Service.insert svc ~name (values (budget + 5))));
+  Service.adaptive_drain svc;
+  check Alcotest.int "a full budget arrived during the rebuild" (budget + 5) (inserts ());
+  check Alcotest.bool "so the swap leaves it stale" true (stale ());
+  check Alcotest.bool "and the drain's tick launched the next rebuild" true
+    (Service.adaptive_stats svc).Service.rebuild_in_flight;
+  let svc2, _ = Service.open_dir ~config dir in
+  let i2 = Option.get (Service.info svc2 name) in
+  check Alcotest.int "the count persisted with the swap" (budget + 5) i2.Service.inserts;
+  check Alcotest.bool "so did the flag" true i2.Service.stale;
+  Service.adaptive_drain svc
+
+(* Observations absorbed since the last refresh survive a rebuild swap:
+   they are replayed onto the histogram reseeded from the rebuilt
+   summary and still count toward the next refresh, which then serves
+   exactly that histogram with all of them applied in order. *)
+let test_adaptive_rebuild_keeps_feedback () =
+  let dir = fresh_dir () in
+  let svc, _ =
+    Service.open_dir
+      ~config:{ Service.default_config with Service.rebuild_after_inserts = 50 }
+      dir
+  in
+  let name = "orders/amount" in
+  ignore (or_fail (Service.build svc ~name ~spec:"ewh:16" ~domain:domain_a ~sample:sample_a));
+  let acfg = { Service.default_adaptive_config with Service.refresh_after_observes = 8 } in
+  Service.enable_adaptive ~config:acfg svc;
+  let observations =
+    Array.init 8 (fun k ->
+        let a = float_of_int (k * 11) in
+        (a, a +. 15.0, 0.05 +. (0.02 *. float_of_int k)))
+  in
+  let observe k =
+    let a, b, actual = observations.(k) in
+    ignore (or_fail (Service.observe svc ~name ~a ~b ~actual))
+  in
+  for k = 0 to 4 do
+    observe k
+  done;
+  ignore (or_fail (Service.insert svc ~name sample_b));
+  check Alcotest.int "launch tick swaps nothing" 0 (Service.adaptive_tick svc);
+  Service.adaptive_drain svc;
+  check Alcotest.bool "the rebuild swapped in" false
+    (Option.get (Service.info svc name)).Service.stale;
+  let rebuilt =
+    match served_summary svc name with
+    | Selest.Stored.Range r -> r
+    | _ -> Alcotest.fail "range entry expected"
+  in
+  for k = 5 to 7 do
+    observe k
+  done;
+  check Alcotest.int "the 8th observation since the refresh refreshes" 1
+    (Service.adaptive_tick svc);
+  let i = Option.get (Service.info svc name) in
+  let fb =
+    Feedback.Adaptive.create ~buckets:i.Service.cells ~learning_rate:acfg.Service.learning_rate
+      ~domain:i.Service.domain
+      ~base:(fun ~a ~b -> Selest.Stored.selectivity rebuilt ~a ~b)
+      ()
+  in
+  Array.iter (fun (a, b, actual) -> Feedback.Adaptive.observe fb ~a ~b ~actual) observations;
+  let expected =
+    Selest.Stored.of_fn ~cells:i.Service.cells ~domain:i.Service.domain (fun ~a ~b ->
+        Feedback.Adaptive.selectivity fb ~a ~b)
+  in
+  check Alcotest.string "refreshed bits: rebuilt summary + all 8 observations"
+    (Selest.Stored.any_to_string (Selest.Stored.Range expected))
+    (Selest.Stored.any_to_string (served_summary svc name));
+  check Alcotest.int "a refresh starts the count from zero" 0 (Service.adaptive_tick svc)
+
+(* Rebuilds from every service queue on one domain and run in launch
+   order: once the later one has been drained, the earlier one is
+   already done, and its owner's next tick swaps it in without waiting. *)
+let test_adaptive_rebuilds_run_in_launch_order () =
+  let first_dir, first = adaptive_fixture () in
+  let _, second = adaptive_fixture () in
+  ignore first_dir;
+  ignore (or_fail (Service.insert first ~name:"orders/amount" sample_b));
+  ignore (or_fail (Service.insert second ~name:"orders/amount" sample_b));
+  check Alcotest.int "first launches" 0 (Service.adaptive_tick first);
+  check Alcotest.int "second launches" 0 (Service.adaptive_tick second);
+  Service.adaptive_drain second;
+  check Alcotest.bool "second swapped in" false
+    (Option.get (Service.info second "orders/amount")).Service.stale;
+  check Alcotest.int "first was done before it" 1 (Service.adaptive_tick first)
 
 let test_build_errors () =
   let dir = fresh_dir () in
@@ -1737,6 +1857,12 @@ let () =
             test_adaptive_drain_reaps_pending;
           Alcotest.test_case "crash bound: reopened stale, rebuilds at min_rebuild_sample"
             `Quick test_adaptive_crash_bound;
+          Alcotest.test_case "rebuild keeps inserts since launch" `Quick
+            test_adaptive_rebuild_keeps_late_inserts;
+          Alcotest.test_case "rebuild keeps pending feedback" `Quick
+            test_adaptive_rebuild_keeps_feedback;
+          Alcotest.test_case "rebuilds run in launch order" `Quick
+            test_adaptive_rebuilds_run_in_launch_order;
         ] );
       ( "genfiles",
         [

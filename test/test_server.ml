@@ -925,6 +925,46 @@ let test_failed_persist_is_internal () =
   check Alcotest.bool "the other entry persisted" true
     (Option.get (Service.info svc "orders/amount")).Service.stale
 
+(* The rebuild domain runs beside the dispatcher, so a fast rebuild (a
+   [sampling] entry's is a sort) can finish before the dispatcher is back
+   in its wait.  Its wake must still be seen: on an otherwise idle shard
+   every round's swap lands without another request arriving. *)
+let test_adaptive_idle_shard_reaps () =
+  let dir = fresh_dir () in
+  let budget = 100 in
+  let svc, _ =
+    Service.open_dir
+      ~config:{ Service.default_config with Service.rebuild_after_inserts = budget }
+      dir
+  in
+  build_two svc;
+  Service.enable_adaptive svc;
+  let address = Wire.Unix_socket (sock_path ()) in
+  let engine = Engine.create ~services:[| svc |] address in
+  let server = Thread.create Engine.serve engine in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.initiate_drain engine;
+      Thread.join server)
+    (fun () ->
+      let client = or_fail_client (Client.connect address) in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let values = Array.init budget (fun i -> float_of_int (i mod 61)) in
+          for round = 1 to 100 do
+            ignore (or_fail_client (Client.insert client ~entry:"users/age" values));
+            let deadline = Unix.gettimeofday () +. 2.0 in
+            while
+              (Engine.stats engine).Engine.swaps < round && Unix.gettimeofday () < deadline
+            do
+              Thread.delay 0.001
+            done;
+            check Alcotest.int
+              (Printf.sprintf "round %d swapped in with no further request" round)
+              round (Engine.stats engine).Engine.swaps
+          done))
+
 (* An adaptive engine drained while rebuild swaps are in flight: the
    drain lands them, each shard's snapshot janitor commits and exits,
    and the dispatcher domains join (a systhread still running would
@@ -1258,6 +1298,8 @@ let () =
             test_adaptive_insert_observe_e2e;
           Alcotest.test_case "drain with swaps in flight joins every domain" `Quick
             test_adaptive_drain_joins;
+          Alcotest.test_case "an idle shard reaps every rebuild" `Quick
+            test_adaptive_idle_shard_reaps;
           Alcotest.test_case "a failed persist answers Internal, the rest serve" `Quick
             test_failed_persist_is_internal;
         ] );

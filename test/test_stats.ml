@@ -42,6 +42,71 @@ let prop_bounds_agree_with_scan =
       let ub' = Array.fold_left (fun acc v -> if v <= x then acc + 1 else acc) 0 a in
       lb = lb' && ub = ub')
 
+(* [float_sort] must leave exactly the permutation [Array.sort
+   Float.compare] leaves, so values that compare equal but differ in bits
+   (NaN payloads, -0.0 and 0.0) are where a divergence would show. *)
+let sort_specials =
+  [|
+    Float.nan;
+    Int64.float_of_bits 0x7FF8_0000_0000_0001L;
+    Int64.float_of_bits 0xFFF8_0000_0000_0002L;
+    0.0;
+    -0.0;
+    Float.infinity;
+    Float.neg_infinity;
+    Float.max_float;
+    Float.min_float;
+    5e-324;
+    -5e-324;
+  |]
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let stdlib_sorted a =
+  let b = Array.copy a in
+  Array.sort Float.compare b;
+  b
+
+let float_sorted a =
+  let b = Array.copy a in
+  A.float_sort b;
+  b
+
+let test_float_sort_cases () =
+  let check_case name a =
+    Alcotest.(check bool) name true (same_bits (stdlib_sorted a) (float_sorted a))
+  in
+  check_case "empty" [||];
+  check_case "singleton NaN" [| Float.nan |];
+  check_case "every special, twice" (Array.append sort_specials (Array.copy sort_specials));
+  check_case "signed zeros only" (Array.init 40 (fun i -> if i mod 3 = 0 then -0.0 else 0.0));
+  check_case "NaN payloads only"
+    (Array.init 30 (fun i -> Int64.float_of_bits (Int64.logor 0x7FF8_0000_0000_0000L (Int64.of_int i))));
+  (* every length up to 60, descending with duplicates: each heap shape *)
+  for n = 0 to 60 do
+    check_case (Printf.sprintf "descending n=%d" n)
+      (Array.init n (fun i -> float_of_int ((n - i) / 2)))
+  done
+
+let prop_float_sort_is_stdlib_sort =
+  QCheck.Test.make ~name:"float_sort bit-equals Array.sort" ~count:500
+    QCheck.(
+      make
+        ~print:(fun a ->
+          String.concat "; "
+            (Array.to_list (Array.map (fun x -> Printf.sprintf "%h" x) a)))
+        Gen.(
+          array_size (int_range 0 300)
+            (frequency
+               [
+                 (2, oneofa sort_specials);
+                 (3, map float_of_int (int_range (-4) 4));
+                 (3, float);
+               ])))
+    (fun a -> same_bits (stdlib_sorted a) (float_sorted a))
+
 (* --- Descriptive --- *)
 
 let test_mean_known () =
@@ -283,6 +348,9 @@ let () =
           Alcotest.test_case "bounds basic" `Quick test_bounds_basic;
           Alcotest.test_case "count_in_range" `Quick test_count_in_range;
           QCheck_alcotest.to_alcotest prop_bounds_agree_with_scan;
+          Alcotest.test_case "float_sort: specials and heap shapes" `Quick
+            test_float_sort_cases;
+          QCheck_alcotest.to_alcotest prop_float_sort_is_stdlib_sort;
         ] );
       ( "descriptive",
         [
